@@ -20,7 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.frontend.am.gmm import DiagonalGMM
+from repro.frontend.am.gmm import _LOG_2PI, DiagonalGMM
 from repro.frontend.am.mlp import MLPClassifier, MLPConfig
 from repro.utils.rng import child_rng
 from repro.utils.validation import check_positive, check_probability
@@ -78,24 +78,84 @@ class EmissionModel(Protocol):
         ...
 
 
+#: Float64 elements in the ``(frames, states, components, dims)`` temporary
+#: of one stacked emission block (8 MiB).  A 39-dim, 111-state,
+#: 4-component model evaluates 60 frames per block.
+EMISSION_BLOCK_ELEMENTS = 1 << 20
+
+
+class _StateGroup:
+    """States whose GMMs share one ``(M, D)`` parameter shape, stacked."""
+
+    def __init__(self, states: list[int], gmms: list[DiagonalGMM]) -> None:
+        self.states = np.asarray(states, dtype=np.intp)
+        self.means = np.stack([g.means for g in gmms])  # (G, M, D)
+        self.variances = np.stack([g.variances for g in gmms])
+        # Per-GMM reductions, exactly as component_log_likelihood forms them.
+        self.log_det = np.stack(
+            [np.sum(np.log(g.variances), axis=1) for g in gmms]
+        )  # (G, M)
+        self.log_weights = np.stack([g.log_weights for g in gmms])  # (G, M)
+        self.block_frames = max(1, EMISSION_BLOCK_ELEMENTS // self.means.size)
+
+    def log_likelihood(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write ``log p(x_t | state)`` for the group's states into ``out``.
+
+        Each step repeats :meth:`DiagonalGMM.component_log_likelihood` and
+        :meth:`DiagonalGMM.log_likelihood` with the same elementwise
+        operations and the same last-axis reductions, so every value is
+        bitwise equal to the per-state call.
+        """
+        t, d = x.shape
+        buf = np.empty((min(t, self.block_frames),) + self.means.shape)
+        for lo in range(0, t, self.block_frames):
+            hi = min(lo + self.block_frames, t)
+            diff = buf[: hi - lo]
+            np.subtract(x[lo:hi, None, None, :], self.means, out=diff)
+            diff *= diff
+            diff /= self.variances
+            quad = np.sum(diff, axis=3)  # (F, G, M)
+            comp = -0.5 * (quad + self.log_det + d * _LOG_2PI) + self.log_weights
+            m = comp.max(axis=2, keepdims=True)
+            ll = m + np.log(np.exp(comp - m).sum(axis=2, keepdims=True))
+            out[lo:hi, self.states] = ll[:, :, 0]
+
+
 class GMMEmission:
-    """Per-state diagonal GMM emissions."""
+    """Per-state diagonal GMM emissions.
+
+    States are grouped by GMM parameter shape and each group is scored
+    in one broadcast per frame block.  Ragged component counts are not
+    padded to a common size: padding would change the length of the
+    per-state sums and with it their floating-point grouping.
+    """
 
     def __init__(self, gmms: list[DiagonalGMM]) -> None:
         if not gmms:
             raise ValueError("need at least one state GMM")
         self._gmms = gmms
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for s, gmm in enumerate(gmms):
+            gmm._check_fitted()
+            by_shape.setdefault(gmm.means.shape, []).append(s)
+        self._groups = [
+            _StateGroup(states, [gmms[s] for s in states])
+            for states in by_shape.values()
+        ]
 
     @property
     def n_states(self) -> int:
         return len(self._gmms)
 
     def frame_log_likelihood(self, frames: np.ndarray) -> np.ndarray:
-        """Per-state GMM log likelihoods, shape ``(T, n_states)``."""
-        frames = np.atleast_2d(frames)
+        """Per-state GMM log likelihoods, shape ``(T, n_states)``.
+
+        Bitwise equal to ``gmms[s].log_likelihood(frames)`` per column.
+        """
+        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
         out = np.empty((frames.shape[0], self.n_states))
-        for s, gmm in enumerate(self._gmms):
-            out[:, s] = gmm.log_likelihood(frames)
+        for group in self._groups:
+            group.log_likelihood(frames, out)
         return out
 
     @classmethod

@@ -4,9 +4,16 @@ This is the reproduction's HVite: frames go in, a phone confusion network
 comes out.  The decoder runs over the composite state space of a
 :class:`~repro.frontend.am.hmm.PhoneHMMSet` (phones × left-to-right
 states) with three structural transition families — self-loop, within-phone
-advance, and cross-phone arcs scored by a phone-bigram LM — all evaluated
-as whole-vector numpy operations per frame, so the per-frame cost is
-O(S + P²) regardless of Python overhead.
+advance, and cross-phone arcs scored by a phone-bigram LM.  One DP serves
+every caller: a batch of utterances is padded into a ``(B, T_max, S)``
+lattice and each frame step advances all rows with whole-array numpy
+operations, O(B·(S + P²)) arithmetic.  At this reproduction's sizes a
+step's cost is mostly the fixed overhead of its numpy calls, not the
+arithmetic, so the step does nothing else: the transition tables and
+index sets are built once per decode (:class:`_DPTables`), scratch rows
+are reused, and a single-utterance :meth:`ViterbiDecoder.decode` is a
+batch of one.  The per-utterance scalar recursion survives only as the
+test suite's reference.
 
 The emitted :class:`~repro.frontend.lattice.Sausage` has one slot per
 Viterbi phone segment; slot posteriors are state-posterior mass (full
@@ -23,6 +30,7 @@ import numpy as np
 from repro.corpus.phoneset import PhoneSet
 from repro.frontend.am.hmm import PhoneHMMSet
 from repro.frontend.lattice import Sausage, SausageSlot
+from repro.obs import trace
 from repro.obs.metrics import default_registry
 from repro.utils.validation import check_in, check_positive
 
@@ -67,11 +75,6 @@ class DecoderConfig:
         ``"fb"`` uses the structured forward-backward state posteriors;
         ``"softmax"`` uses per-frame emission softmax (cheaper, slightly
         less sharp).
-    batch:
-        Decode utterances through the cross-utterance batched DP
-        (:meth:`ViterbiDecoder.decode_batch`).  In float64 the batched
-        lattice is bitwise identical to the per-utterance loop, so this
-        is purely a speed knob and stays out of stage keys.
     dtype:
         DP arithmetic width.  ``"float32"`` halves lattice memory and
         speeds the DP up, at a documented tolerance cost (tables compare
@@ -87,7 +90,6 @@ class DecoderConfig:
     acoustic_scale: float = 0.3
     top_k: int = 5
     posterior_mode: str = "fb"
-    batch: bool = True
     dtype: str = "float64"
     beam: float | None = None
 
@@ -106,10 +108,9 @@ class DecoderConfig:
     def stage_params(self) -> dict[str, object]:
         """Extra stage-key parameters for memoised decode artifacts.
 
-        Only knobs that change the *numbers* are included: batched
-        float64 decoding is bitwise equal to the loop path, so ``batch``
-        never invalidates a cache; ``dtype="float32"`` and finite beams
-        do change results and must key separate artifacts.
+        Only knobs that change the *numbers* are included:
+        ``dtype="float32"`` and finite beams do change results and must
+        key separate artifacts.
         """
         params: dict[str, object] = {}
         if self.dtype != "float64":
@@ -117,6 +118,51 @@ class DecoderConfig:
         if self.beam is not None:
             params["decode_beam"] = float(self.beam)
         return params
+
+
+@dataclass(frozen=True)
+class _DPTables:
+    """The phone loop's structural transitions, cast to one DP dtype.
+
+    Built once per decode and passed to every frame step, which then does
+    arithmetic only.  Composite state ``p * s + j`` is state ``j`` of
+    phone ``p``, so within-phone advances run from each ``non_exit``
+    state to the ``non_entry`` state one id above it.
+    """
+
+    init: np.ndarray  # (S,) log-prob of starting in each state
+    log_self: np.ndarray  # 0-d self-loop log-prob
+    log_leave: np.ndarray  # 0-d within-phone advance log-prob
+    cross: np.ndarray  # (P, P) exit of phone p -> entry of phone q
+    entries: np.ndarray
+    exits: np.ndarray
+    non_entry: np.ndarray
+    non_exit: np.ndarray
+
+    @classmethod
+    def build(cls, hmms: PhoneHMMSet, dt: np.dtype) -> "_DPTables":
+        log_self, log_leave, cross = hmms.transition_blocks()
+        entries, exits = hmms.entry_states(), hmms.exit_states()
+        states = np.arange(hmms.n_states)
+        return cls(
+            init=hmms.initial_log_probs().astype(dt),
+            log_self=np.asarray(log_self, dtype=dt),
+            log_leave=np.asarray(log_leave, dtype=dt),
+            cross=np.asarray(cross, dtype=dt),
+            entries=entries,
+            exits=exits,
+            non_entry=np.setdiff1d(states, entries),
+            non_exit=np.setdiff1d(states, exits),
+        )
+
+
+def _logsumexp(scores: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along ``axis``, shifted by the finite maxima."""
+    m = scores.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        shift = np.where(np.isfinite(m), m, 0.0)
+        out = m + np.log(np.exp(scores - shift).sum(axis=axis, keepdims=True))
+    return out.squeeze(axis)
 
 
 class ViterbiDecoder:
@@ -134,6 +180,18 @@ class ViterbiDecoder:
         self.phone_set = phone_set
         self.config = config or DecoderConfig()
 
+    def _check_lattice(
+        self, log_likelihood: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Validate a padded ``(B, T_max, S)`` lattice; int64 lengths."""
+        b, _, n_states = log_likelihood.shape
+        if n_states != self.hmms.n_states:
+            raise ValueError("log_likelihood width must equal n_states")
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (b,):
+            raise ValueError("lengths must have one entry per batch row")
+        return lengths
+
     # ------------------------------------------------------------------
     # Viterbi
     # ------------------------------------------------------------------
@@ -141,6 +199,8 @@ class ViterbiDecoder:
         self, log_likelihood: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Best composite-state path and per-frame cross-arc flags.
+
+        A batch of one through :meth:`viterbi_batch`.
 
         Parameters
         ----------
@@ -156,77 +216,24 @@ class ViterbiDecoder:
             phone instance* at this frame (used to split repeated phones
             into separate segments).
         """
-        hmms = self.hmms
-        t_total, n_states = log_likelihood.shape
-        if n_states != hmms.n_states:
-            raise ValueError("log_likelihood width must equal n_states")
-        if t_total == 0:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        dt = log_likelihood.dtype
-        beam = self.config.beam
-        log_self, log_leave, cross = hmms.transition_blocks()
-        log_self = np.asarray(log_self, dtype=dt)
-        log_leave = np.asarray(log_leave, dtype=dt)
-        cross = np.asarray(cross, dtype=dt)
-        entries = hmms.entry_states()
-        exits = hmms.exit_states()
-        s = hmms.states_per_phone
-        non_entry = np.setdiff1d(np.arange(n_states), entries)
-
-        delta = hmms.initial_log_probs().astype(dt) + log_likelihood[0]
-        bp = np.zeros((t_total, n_states), dtype=np.int32)
-        was_cross = np.zeros((t_total, n_states), dtype=bool)
-        for t in range(1, t_total):
-            stay = delta + log_self
-            adv = np.full(n_states, -np.inf, dtype=dt)
-            if s > 1:
-                adv[non_entry] = delta[non_entry - 1] + log_leave
-            # Cross-phone: from every exit state into every entry state.
-            cross_scores = delta[exits][:, None] + cross  # (P, P)
-            from_phone = np.argmax(cross_scores, axis=0)
-            cross_best = cross_scores[from_phone, np.arange(hmms.n_phones)]
-            new_delta = stay
-            new_bp = np.arange(n_states, dtype=np.int32)
-            adv_better = adv > new_delta
-            new_delta = np.where(adv_better, adv, new_delta)
-            new_bp = np.where(
-                adv_better, np.arange(n_states, dtype=np.int32) - 1, new_bp
-            )
-            cross_flag = np.zeros(n_states, dtype=bool)
-            cross_better = np.full(n_states, -np.inf, dtype=dt)
-            cross_better[entries] = cross_best
-            take_cross = cross_better > new_delta
-            new_delta = np.where(take_cross, cross_better, new_delta)
-            cross_pred = np.zeros(n_states, dtype=np.int32)
-            cross_pred[entries] = exits[from_phone].astype(np.int32)
-            new_bp = np.where(take_cross, cross_pred, new_bp)
-            cross_flag |= take_cross
-            delta = new_delta + log_likelihood[t]
-            if beam is not None:
-                delta = np.where(delta >= delta.max() - beam, delta, -np.inf)
-            bp[t] = new_bp
-            was_cross[t] = cross_flag
-
-        path = np.empty(t_total, dtype=np.int64)
-        crossed = np.zeros(t_total, dtype=bool)
-        path[-1] = int(np.argmax(delta))
-        for t in range(t_total - 1, 0, -1):
-            crossed[t] = was_cross[t, path[t]]
-            path[t - 1] = bp[t, path[t]]
-        crossed[0] = True  # the first frame always opens a phone instance
-        return path, crossed
+        log_likelihood = np.asarray(log_likelihood)
+        paths, crosseds = self.viterbi_batch(
+            log_likelihood[None], [log_likelihood.shape[0]]
+        )
+        return paths[0], crosseds[0]
 
     def viterbi_batch(
         self, log_likelihood: np.ndarray, lengths: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Batched :meth:`viterbi` over a padded lattice tensor.
+        """Best paths of a padded lattice tensor, one DP over all rows.
 
         One vectorized DP advances *all* utterances per frame step; rows
         whose utterance already ended are frozen by an active mask, so
-        each row's final ``delta`` is exactly the loop decoder's at that
-        utterance's last frame.  All reductions run along batch-trailing
-        axes, which numpy evaluates identically to the per-utterance
-        calls — in float64 the result is bitwise equal to :meth:`viterbi`.
+        each row's final ``delta`` is exactly the one-utterance DP's at
+        that utterance's last frame.  All reductions run along
+        batch-trailing axes, which numpy evaluates identically to a
+        batch of one — in float64 the result is bitwise equal to the
+        scalar reference DP kept in the test suite.
 
         Parameters
         ----------
@@ -242,282 +249,160 @@ class ViterbiDecoder:
             Per-utterance best state paths and cross-arc flags, each
             trimmed to the utterance's own length.
         """
-        hmms = self.hmms
-        b, t_max, n_states = log_likelihood.shape
-        if n_states != hmms.n_states:
-            raise ValueError("log_likelihood width must equal n_states")
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (b,):
-            raise ValueError("lengths must have one entry per batch row")
-        if t_max == 0 or b == 0:
-            return (
-                [np.empty(0, np.int64)] * b,
-                [np.empty(0, bool)] * b,
-            )
+        lengths = self._check_lattice(log_likelihood, lengths)
+        tables = _DPTables.build(self.hmms, log_likelihood.dtype)
+        return self._viterbi(log_likelihood, lengths, tables)
+
+    def _viterbi(
+        self, log_likelihood: np.ndarray, lengths: np.ndarray, tab: _DPTables
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        b, _, n_states = log_likelihood.shape
+        t_end = int(lengths.max(initial=0))
+        if t_end == 0:
+            return [np.empty(0, np.int64)] * b, [np.empty(0, bool)] * b
         dt = log_likelihood.dtype
         beam = self.config.beam
-        log_self, log_leave, cross = hmms.transition_blocks()
-        log_self = np.asarray(log_self, dtype=dt)
-        log_leave = np.asarray(log_leave, dtype=dt)
-        cross = np.asarray(cross, dtype=dt)
-        entries = hmms.entry_states()
-        exits = hmms.exit_states()
-        s = hmms.states_per_phone
-        non_entry = np.setdiff1d(np.arange(n_states), entries)
         idx = np.arange(n_states, dtype=np.int32)
+        idx_prev = idx - np.int32(1)
+        exits32 = tab.exits.astype(np.int32)
+        live = lengths[:, None] > np.arange(t_end)  # (B, T): frame in row
 
-        delta = hmms.initial_log_probs().astype(dt)[None, :] + log_likelihood[:, 0]
-        bp = np.zeros((b, t_max, n_states), dtype=np.int32)
-        was_cross = np.zeros((b, t_max, n_states), dtype=bool)
-        for t in range(1, t_max):
-            active = lengths > t  # (B,)
-            if not active.any():
-                break
-            stay = delta + log_self
-            adv = np.full((b, n_states), -np.inf, dtype=dt)
-            if s > 1:
-                adv[:, non_entry] = delta[:, non_entry - 1] + log_leave
-            cross_scores = delta[:, exits, None] + cross[None]  # (B, P, P)
+        delta = tab.init[None, :] + log_likelihood[:, 0]
+        bp = np.zeros((b, t_end, n_states), dtype=np.int32)
+        was_cross = np.zeros((b, t_end, n_states), dtype=bool)
+        # Scratch rows: only the advance / entry columns are ever written,
+        # the rest keep their -inf (or 0) fill across steps.
+        adv = np.full((b, n_states), -np.inf, dtype=dt)
+        cross_in = np.full((b, n_states), -np.inf, dtype=dt)
+        cross_pred = np.zeros((b, n_states), dtype=np.int32)
+        for t in range(1, t_end):
+            stay = delta + tab.log_self
+            adv[:, tab.non_entry] = delta[:, tab.non_exit] + tab.log_leave
+            # Cross-phone: from every exit state into every entry state.
+            cross_scores = delta[:, tab.exits, None] + tab.cross  # (B, P, P)
             from_phone = np.argmax(cross_scores, axis=1)  # (B, P)
-            cross_best = np.take_along_axis(
+            cross_in[:, tab.entries] = np.take_along_axis(
                 cross_scores, from_phone[:, None, :], axis=1
             )[:, 0, :]
-            new_delta = stay
-            new_bp = np.broadcast_to(idx, (b, n_states))
-            adv_better = adv > new_delta
-            new_delta = np.where(adv_better, adv, new_delta)
-            new_bp = np.where(adv_better, idx - np.int32(1), new_bp)
-            cross_better = np.full((b, n_states), -np.inf, dtype=dt)
-            cross_better[:, entries] = cross_best
-            take_cross = cross_better > new_delta
-            new_delta = np.where(take_cross, cross_better, new_delta)
-            cross_pred = np.zeros((b, n_states), dtype=np.int32)
-            cross_pred[:, entries] = exits[from_phone].astype(np.int32)
-            new_bp = np.where(take_cross, cross_pred, new_bp)
+            adv_better = adv > stay
+            new_delta = np.where(adv_better, adv, stay)
+            new_bp = np.where(adv_better, idx_prev, idx)
+            take_cross = cross_in > new_delta
+            new_delta = np.where(take_cross, cross_in, new_delta)
+            cross_pred[:, tab.entries] = exits32[from_phone]
+            bp[:, t] = np.where(take_cross, cross_pred, new_bp)
+            was_cross[:, t] = take_cross
             cand = new_delta + log_likelihood[:, t]
             if beam is not None:
                 cand = np.where(
                     cand >= cand.max(axis=1, keepdims=True) - beam, cand, -np.inf
                 )
             # Frozen rows keep the delta of their own final frame.
-            delta = np.where(active[:, None], cand, delta)
-            bp[:, t] = new_bp
-            was_cross[:, t] = take_cross
+            delta = np.where(live[:, t, None], cand, delta)
 
-        paths: list[np.ndarray] = []
-        crosseds: list[np.ndarray] = []
-        for i in range(b):
-            t_i = int(lengths[i])
-            if t_i == 0:
-                paths.append(np.empty(0, np.int64))
-                crosseds.append(np.empty(0, bool))
-                continue
-            path = np.empty(t_i, dtype=np.int64)
-            crossed = np.zeros(t_i, dtype=bool)
-            path[-1] = int(np.argmax(delta[i]))
-            for t in range(t_i - 1, 0, -1):
-                crossed[t] = was_cross[i, t, path[t]]
-                path[t - 1] = bp[i, t, path[t]]
-            crossed[0] = True
-            paths.append(path)
-            crosseds.append(crossed)
-        return paths, crosseds
+        # Backtrace every row at once.  A row joins at its own last frame:
+        # until then ``cur`` holds its final best state unchanged.
+        rows = np.arange(b)
+        cur = np.argmax(delta, axis=1)
+        path = np.empty((b, t_end), dtype=np.int64)
+        crossed = np.empty((b, t_end), dtype=bool)
+        for t in range(t_end - 1, 0, -1):
+            path[:, t] = cur
+            crossed[:, t] = was_cross[rows, t, cur]
+            cur = np.where(live[:, t], bp[rows, t, cur], cur)
+        path[:, 0] = cur
+        crossed[:, 0] = True  # the first frame always opens a phone instance
+        return (
+            [path[i, :n] for i, n in enumerate(lengths)],
+            [crossed[i, :n] for i, n in enumerate(lengths)],
+        )
 
     # ------------------------------------------------------------------
     # posteriors
     # ------------------------------------------------------------------
     def state_posteriors(self, log_likelihood: np.ndarray) -> np.ndarray:
-        """Per-frame state posteriors, shape ``(T, n_states)``."""
-        if self.config.posterior_mode == "softmax":
-            scores = log_likelihood - log_likelihood.max(axis=1, keepdims=True)
-            post = np.exp(scores)
-            return post / post.sum(axis=1, keepdims=True)
-        return self._forward_backward(log_likelihood)
+        """Per-frame state posteriors, shape ``(T, n_states)``.
 
-    def _structured_step_forward(
-        self, prev: np.ndarray
-    ) -> np.ndarray:
-        """One forward log-sum step through the structured transitions."""
-        hmms = self.hmms
-        log_self, log_leave, cross = hmms.transition_blocks()
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        n_states = hmms.n_states
-        stay = prev + log_self
-        adv = np.full(n_states, -np.inf)
-        if hmms.states_per_phone > 1:
-            non_entry = np.setdiff1d(np.arange(n_states), entries)
-            adv[non_entry] = prev[non_entry - 1] + log_leave
-        cross_scores = prev[exits][:, None] + cross  # (P, P)
-        m = cross_scores.max(axis=0)
-        with np.errstate(over="ignore", divide="ignore"):
-            cross_in = m + np.log(
-                np.exp(cross_scores - np.where(np.isfinite(m), m, 0.0)).sum(axis=0)
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full(n_states, -np.inf)
-        full_cross[entries] = cross_in
-        return np.logaddexp(combined, full_cross)
-
-    def _structured_step_backward(self, nxt: np.ndarray) -> np.ndarray:
-        """One backward log-sum step (``nxt`` already includes emissions)."""
-        hmms = self.hmms
-        log_self, log_leave, cross = hmms.transition_blocks()
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        n_states = hmms.n_states
-        stay = nxt + log_self
-        adv = np.full(n_states, -np.inf)
-        if hmms.states_per_phone > 1:
-            non_exit = np.setdiff1d(np.arange(n_states), exits)
-            adv[non_exit] = nxt[non_exit + 1] + log_leave
-        # From exit of phone p into entries of all phones q.
-        cross_scores = cross + nxt[entries][None, :]  # (P, P)
-        m = cross_scores.max(axis=1)
-        with np.errstate(over="ignore", divide="ignore"):
-            cross_out = m + np.log(
-                np.exp(cross_scores - np.where(np.isfinite(m), m, 0.0)[:, None]).sum(
-                    axis=1
-                )
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full(n_states, -np.inf)
-        full_cross[exits] = cross_out
-        return np.logaddexp(combined, full_cross)
-
-    def _forward_backward(self, log_likelihood: np.ndarray) -> np.ndarray:
-        t_total, n_states = log_likelihood.shape
-        scaled = log_likelihood
-        dt = log_likelihood.dtype
-        alpha = np.empty((t_total, n_states), dtype=dt)
-        alpha[0] = self.hmms.initial_log_probs().astype(dt) + scaled[0]
-        for t in range(1, t_total):
-            alpha[t] = self._structured_step_forward(alpha[t - 1]) + scaled[t]
-        beta = np.empty((t_total, n_states), dtype=dt)
-        beta[-1] = 0.0
-        for t in range(t_total - 2, -1, -1):
-            beta[t] = self._structured_step_backward(beta[t + 1] + scaled[t + 1])
-        log_gamma = alpha + beta
-        log_gamma -= log_gamma.max(axis=1, keepdims=True)
-        gamma = np.exp(log_gamma)
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        return gamma
-
-    def _structured_step_forward_batch(self, prev: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_structured_step_forward`; ``prev`` is (B, S).
-
-        The cross-phone logsumexp reduces along axis 1 of the (B, P, P)
-        score tensor, which numpy computes per batch row exactly as the
-        unbatched axis-0 reduction — bitwise equal in float64.
+        A batch of one through :meth:`state_posteriors_batch`.
         """
-        hmms = self.hmms
-        dt = prev.dtype
-        log_self, log_leave, cross = hmms.transition_blocks()
-        log_self = np.asarray(log_self, dtype=dt)
-        log_leave = np.asarray(log_leave, dtype=dt)
-        cross = np.asarray(cross, dtype=dt)
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        b, n_states = prev.shape
-        stay = prev + log_self
-        adv = np.full((b, n_states), -np.inf, dtype=dt)
-        if hmms.states_per_phone > 1:
-            non_entry = np.setdiff1d(np.arange(n_states), entries)
-            adv[:, non_entry] = prev[:, non_entry - 1] + log_leave
-        # ascontiguousarray: the broadcast puts the batch axis fastest in
-        # memory, which flips numpy's last-axis reduction from pairwise
-        # to strided-sequential summation — a different float sum than
-        # the unbatched step.  A C-layout copy restores bitwise parity.
-        cross_scores = np.ascontiguousarray(
-            prev[:, exits, None] + cross[None]
-        )  # (B, P, P)
-        m = cross_scores.max(axis=1)  # (B, P)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cross_in = m + np.log(
-                np.exp(
-                    cross_scores
-                    - np.where(np.isfinite(m), m, 0.0)[:, None, :]
-                ).sum(axis=1)
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full((b, n_states), -np.inf, dtype=dt)
-        full_cross[:, entries] = cross_in
-        return np.logaddexp(combined, full_cross)
+        log_likelihood = np.asarray(log_likelihood)
+        return self.state_posteriors_batch(
+            log_likelihood[None], [log_likelihood.shape[0]]
+        )[0]
 
-    def _structured_step_backward_batch(self, nxt: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_structured_step_backward`; ``nxt`` is (B, S)."""
-        hmms = self.hmms
-        dt = nxt.dtype
-        log_self, log_leave, cross = hmms.transition_blocks()
-        log_self = np.asarray(log_self, dtype=dt)
-        log_leave = np.asarray(log_leave, dtype=dt)
-        cross = np.asarray(cross, dtype=dt)
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        b, n_states = nxt.shape
-        stay = nxt + log_self
-        adv = np.full((b, n_states), -np.inf, dtype=dt)
-        if hmms.states_per_phone > 1:
-            non_exit = np.setdiff1d(np.arange(n_states), exits)
-            adv[:, non_exit] = nxt[:, non_exit + 1] + log_leave
-        # See the forward step: force C layout so the axis-2 reduction
-        # keeps the unbatched pairwise summation order.
-        cross_scores = np.ascontiguousarray(
-            cross[None] + nxt[:, entries][:, None, :]
-        )  # (B, P, P)
-        m = cross_scores.max(axis=2)  # (B, P)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cross_out = m + np.log(
-                np.exp(
-                    cross_scores
-                    - np.where(np.isfinite(m), m, 0.0)[:, :, None]
-                ).sum(axis=2)
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full((b, n_states), -np.inf, dtype=dt)
-        full_cross[:, exits] = cross_out
-        return np.logaddexp(combined, full_cross)
-
-    def _forward_backward_batch(
+    def state_posteriors_batch(
         self, log_likelihood: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`_forward_backward` over a padded (B, T, S) tensor.
+        """State posteriors of a padded ``(B, T_max, S)`` lattice.
 
-        Rows are padded with zeros past their length; padded frames carry
-        junk posteriors that callers must not read (each utterance's
-        consumer slices ``[:length]``).  The backward recursion re-anchors
-        ``beta = 0`` at every row's own final frame, so valid frames are
-        bitwise equal to the unbatched recursion in float64.
+        Padded frames carry junk posteriors that callers must not read
+        (each utterance's consumer slices ``[:length]``).
+        """
+        lengths = self._check_lattice(log_likelihood, lengths)
+        tables = _DPTables.build(self.hmms, log_likelihood.dtype)
+        return self._posteriors(log_likelihood, lengths, tables)
+
+    def _posteriors(
+        self, log_likelihood: np.ndarray, lengths: np.ndarray, tab: _DPTables
+    ) -> np.ndarray:
+        if self.config.posterior_mode == "softmax":
+            scores = log_likelihood - log_likelihood.max(axis=2, keepdims=True)
+            post = np.exp(scores)
+            return post / post.sum(axis=2, keepdims=True)
+        return self._forward_backward(log_likelihood, lengths, tab)
+
+    def _forward_backward(
+        self, log_likelihood: np.ndarray, lengths: np.ndarray, tab: _DPTables
+    ) -> np.ndarray:
+        """Structured forward–backward over a padded (B, T, S) tensor.
+
+        The backward recursion re-anchors ``beta = 0`` at every row's own
+        final frame, so valid frames are bitwise equal to a batch of one
+        in float64.  The cross-phone log-sum-exp reduces along one axis
+        of a C-layout (B, P, P) buffer, which numpy computes per batch
+        row exactly as the unbatched reduction; a broadcast result would
+        put the batch axis fastest in memory and flip the last-axis
+        reduction from pairwise to strided-sequential summation.
         """
         b, t_max, n_states = log_likelihood.shape
         dt = log_likelihood.dtype
         scaled = log_likelihood
+        n_phones = tab.cross.shape[0]
+        cross_scores = np.empty((b, n_phones, n_phones), dtype=dt)
+
         alpha = np.empty((b, t_max, n_states), dtype=dt)
-        alpha[:, 0] = self.hmms.initial_log_probs().astype(dt) + scaled[:, 0]
+        alpha[:, 0] = tab.init + scaled[:, 0]
+        adv = np.full((b, n_states), -np.inf, dtype=dt)
+        cross_in = np.full((b, n_states), -np.inf, dtype=dt)
         for t in range(1, t_max):
-            alpha[:, t] = (
-                self._structured_step_forward_batch(alpha[:, t - 1]) + scaled[:, t]
-            )
+            prev = alpha[:, t - 1]
+            adv[:, tab.non_entry] = prev[:, tab.non_exit] + tab.log_leave
+            np.add(prev[:, tab.exits, None], tab.cross, out=cross_scores)
+            cross_in[:, tab.entries] = _logsumexp(cross_scores, axis=1)
+            combined = np.logaddexp(prev + tab.log_self, adv)
+            alpha[:, t] = np.logaddexp(combined, cross_in) + scaled[:, t]
+
         beta = np.empty((b, t_max, n_states), dtype=dt)
         beta[:, -1] = 0.0
         last = (lengths - 1)[:, None]
+        adv = np.full((b, n_states), -np.inf, dtype=dt)
+        cross_out = np.full((b, n_states), -np.inf, dtype=dt)
         for t in range(t_max - 2, -1, -1):
-            step = self._structured_step_backward_batch(
-                beta[:, t + 1] + scaled[:, t + 1]
-            )
+            nxt = beta[:, t + 1] + scaled[:, t + 1]
+            adv[:, tab.non_exit] = nxt[:, tab.non_entry] + tab.log_leave
+            # From exit of phone p into entries of all phones q.
+            np.add(tab.cross, nxt[:, tab.entries][:, None, :], out=cross_scores)
+            cross_out[:, tab.exits] = _logsumexp(cross_scores, axis=2)
+            combined = np.logaddexp(nxt + tab.log_self, adv)
+            step = np.logaddexp(combined, cross_out)
             beta[:, t] = np.where(last == t, 0.0, step)
+
         log_gamma = alpha + beta
         with np.errstate(invalid="ignore"):
             log_gamma -= log_gamma.max(axis=2, keepdims=True)
             gamma = np.exp(log_gamma)
             gamma /= gamma.sum(axis=2, keepdims=True)
         return gamma
-
-    def state_posteriors_batch(
-        self, log_likelihood: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`state_posteriors` for a padded (B, T, S) tensor."""
-        if self.config.posterior_mode == "softmax":
-            scores = log_likelihood - log_likelihood.max(axis=2, keepdims=True)
-            post = np.exp(scores)
-            return post / post.sum(axis=2, keepdims=True)
-        return self._forward_backward_batch(log_likelihood, lengths)
 
     # ------------------------------------------------------------------
     # end-to-end
@@ -536,23 +421,11 @@ class ViterbiDecoder:
         return loglik.astype(self.config.np_dtype, copy=False)
 
     def decode(self, frames: np.ndarray) -> Sausage:
-        """Decode feature frames into a posterior sausage."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        _DECODES.inc()
-        _DECODE_FRAMES.observe(float(frames.shape[0]))
-        loglik = self._scaled_loglik(frames)
-        path, crossed = self.viterbi(loglik)
-        if path.size == 0:
-            return Sausage([], self.phone_set)
-        posteriors = self.state_posteriors(loglik)
-        # Fold composite-state posteriors to phone posteriors.
-        s = self.hmms.states_per_phone
-        phone_post = posteriors.reshape(
-            posteriors.shape[0], self.hmms.n_phones, s
-        ).sum(axis=2)
-        phone_path = path // s
-        slots = self._segment_slots(phone_path, crossed, phone_post)
-        return Sausage(slots, self.phone_set)
+        """Decode feature frames into a posterior sausage.
+
+        A batch of one through :meth:`decode_batch`.
+        """
+        return self.decode_batch([frames])[0]
 
     def decode_batch(self, frames_list: list[np.ndarray]) -> list[Sausage]:
         """Decode a batch of utterances through one padded-lattice DP.
@@ -562,47 +435,53 @@ class ViterbiDecoder:
         at once — per-frame Python overhead is paid once per batch
         instead of once per utterance.  Emissions stay per-utterance
         (batching them would re-block the GEMM and perturb float sums),
-        so in float64 each sausage is bitwise identical to
-        :meth:`decode`.  With ``config.batch`` false this falls back to
-        the per-utterance loop.
+        so in float64 each sausage is bitwise identical to decoding the
+        utterance alone.
+
+        Under an active trace the work is split into ``emission``, ``dp``
+        (Viterbi) and ``posteriors`` (state posteriors and sausage
+        assembly) spans.
         """
         frames_list = [
             np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in frames_list
         ]
         if not frames_list:
             return []
-        if not self.config.batch:
-            return [self.decode(f) for f in frames_list]
         _DECODES.inc(len(frames_list))
         for f in frames_list:
             _DECODE_FRAMES.observe(float(f.shape[0]))
-        logliks = [self._scaled_loglik(f) for f in frames_list]
-        lengths = np.array([ll.shape[0] for ll in logliks], dtype=np.int64)
-        b = len(logliks)
-        t_max = int(lengths.max())
-        n_states = self.hmms.n_states
+        b = len(frames_list)
+        with trace.span("emission"):
+            logliks = [self._scaled_loglik(f) for f in frames_list]
+            lengths = np.array([ll.shape[0] for ll in logliks], dtype=np.int64)
+            t_max = int(lengths.max())
+            lattice = np.zeros(
+                (b, t_max, self.hmms.n_states), dtype=self.config.np_dtype
+            )
+            for i, ll in enumerate(logliks):
+                lattice[i, : ll.shape[0]] = ll
         if t_max == 0:
             return [Sausage([], self.phone_set) for _ in range(b)]
-        lattice = np.zeros((b, t_max, n_states), dtype=self.config.np_dtype)
-        for i, ll in enumerate(logliks):
-            lattice[i, : ll.shape[0]] = ll
-        paths, crosseds = self.viterbi_batch(lattice, lengths)
-        posteriors = self.state_posteriors_batch(lattice, lengths)
-        s = self.hmms.states_per_phone
-        phone_post = posteriors.reshape(b, t_max, self.hmms.n_phones, s).sum(
-            axis=3
-        )
-        sausages: list[Sausage] = []
-        for i in range(b):
-            t_i = int(lengths[i])
-            if t_i == 0:
-                sausages.append(Sausage([], self.phone_set))
-                continue
-            phone_path = paths[i] // s
-            slots = self._segment_slots(
-                phone_path, crosseds[i], phone_post[i, :t_i]
-            )
-            sausages.append(Sausage(slots, self.phone_set))
+        tables = _DPTables.build(self.hmms, lattice.dtype)
+        with trace.span("dp"):
+            paths, crosseds = self._viterbi(lattice, lengths, tables)
+        with trace.span("posteriors"):
+            posteriors = self._posteriors(lattice, lengths, tables)
+            s = self.hmms.states_per_phone
+            phone_post = posteriors.reshape(
+                b, t_max, self.hmms.n_phones, s
+            ).sum(axis=3)
+            sausages: list[Sausage] = []
+            for i in range(b):
+                t_i = int(lengths[i])
+                if t_i == 0:
+                    sausages.append(Sausage([], self.phone_set))
+                    continue
+                phone_path = paths[i] // s
+                slots = self._segment_slots(
+                    phone_path, crosseds[i], phone_post[i, :t_i]
+                )
+                sausages.append(Sausage(slots, self.phone_set))
         return sausages
 
     def _segment_slots(

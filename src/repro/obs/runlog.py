@@ -63,11 +63,17 @@ RUNLOG_DIR_ENV = "REPRO_RUNLOG_DIR"
 
 
 def git_revision(cwd: str | Path | None = None) -> str | None:
-    """The current git commit hash, or ``None`` outside a work tree."""
+    """The git commit hash of ``cwd``, or ``None`` outside a work tree.
+
+    ``cwd`` defaults to this package's own directory, so a run launched
+    from anywhere records the revision of the code it ran.
+    """
+    if cwd is None:
+        cwd = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=str(cwd),
             capture_output=True,
             text=True,
             timeout=5.0,
@@ -321,19 +327,20 @@ def render_runlog(run: RunLog, *, max_depth: int | None = None) -> str:
         lines.append("")
         lines.append("per-stage roll-up (manifest):")
         lines.append(
-            f"  {'stage':<24}{'calls':>7}{'wall':>10}{'audio':>10}{'rtf':>8}"
+            f"  {'stage':<24}{'calls':>7}{'wall':>10}{'audio':>10}{'rtf':>10}"
         )
         for name in sorted(stages, key=lambda n: -stages[n].get("wall_s", 0.0)):
             entry = stages[name]
             audio = entry.get("audio_s")
+            # Significant digits: confusion-frontend RTFs are ~1e-5.
             rtf = (
-                f"{entry.get('wall_s', 0.0) / audio:.4f}"
+                f"{entry.get('wall_s', 0.0) / audio:.3g}"
                 if audio
                 else "-"
             )
             lines.append(
                 f"  {name:<24}{entry.get('calls', 0):>7}"
                 f"{_fmt_seconds(entry.get('wall_s')):>10}"
-                f"{_fmt_seconds(audio):>10}{rtf:>8}"
+                f"{_fmt_seconds(audio):>10}{rtf:>10}"
             )
     return "\n".join(lines)

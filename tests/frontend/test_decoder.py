@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.phoneset import PhoneSet
 from repro.frontend.am.gmm import DiagonalGMM
@@ -13,6 +15,8 @@ from repro.frontend.decoder import (
     ViterbiDecoder,
     estimate_phone_bigram,
 )
+from repro.obs import trace
+from tests.oracles.decoder import ScalarDecoder
 
 PS3 = PhoneSet("t3", ("a", "b", "c"))
 
@@ -204,16 +208,22 @@ def _render_batch(means, rng):
     ]
 
 
+def _oracle(decoder, frames_list):
+    """The scalar reference DP, one utterance at a time."""
+    scalar = ScalarDecoder(decoder)
+    return [scalar.decode(f) for f in frames_list]
+
+
 class TestBatchParity:
-    """decode_batch must reproduce the loop decoder: bitwise in float64,
-    within the documented tolerance in float32."""
+    """decode_batch must reproduce the scalar reference DP: bitwise in
+    float64, within the documented tolerance in float32."""
 
     @pytest.mark.parametrize("mode", ["fb", "softmax"])
     def test_float64_bitwise(self, rng, mode):
         decoder, means = separated_decoder(posterior_mode=mode, top_k=3)
         frames_list = _render_batch(means, rng)
         batch = decoder.decode_batch(frames_list)
-        loop = [decoder.decode(f) for f in frames_list]
+        loop = _oracle(decoder, frames_list)
         _assert_sausages_bitwise_equal(batch, loop)
 
     def test_float64_bitwise_with_beam(self, rng):
@@ -221,7 +231,7 @@ class TestBatchParity:
         frames_list = _render_batch(means, rng)
         _assert_sausages_bitwise_equal(
             decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            _oracle(decoder, frames_list),
         )
 
     def test_single_frame_only_batch(self, rng):
@@ -230,7 +240,7 @@ class TestBatchParity:
         frames_list = [render(means, [p], 1, rng)[:1] for p in (0, 1, 2)]
         _assert_sausages_bitwise_equal(
             decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            _oracle(decoder, frames_list),
         )
 
     def test_empty_utterance_in_batch(self, rng):
@@ -243,22 +253,14 @@ class TestBatchParity:
         batch = decoder.decode_batch(frames_list)
         assert len(batch[1]) == 0
         _assert_sausages_bitwise_equal(
-            batch, [decoder.decode(f) for f in frames_list]
-        )
-
-    def test_batch_disabled_falls_back_to_loop(self, rng):
-        decoder, means = separated_decoder(batch=False)
-        frames_list = _render_batch(means, rng)
-        _assert_sausages_bitwise_equal(
-            decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            batch, _oracle(decoder, frames_list)
         )
 
     def test_float32_batch_matches_loop_within_tolerance(self, rng):
         decoder, means = separated_decoder(dtype="float32")
         frames_list = _render_batch(means, rng)
         batch = decoder.decode_batch(frames_list)
-        loop = [decoder.decode(f) for f in frames_list]
+        loop = _oracle(decoder, frames_list)
         assert len(batch) == len(loop)
         for sb, sl in zip(batch, loop):
             assert len(sb) == len(sl)
@@ -290,3 +292,123 @@ class TestBatchParity:
         assert params == {"decode_dtype": "float32", "decode_beam": 25.0}
         default, _ = separated_decoder()
         assert default.config.stage_params() == {}
+
+
+class TestDecodeSpans:
+    def test_decode_batch_splits_into_child_spans(self, rng):
+        decoder, means = separated_decoder()
+        frames_list = _render_batch(means, rng)
+        trace.stop_trace()
+        trace.start_trace("decode-spans")
+        try:
+            with trace.span("decoding"):
+                decoder.decode_batch(frames_list)
+        finally:
+            root = trace.stop_trace()
+        (decoding,) = root.children
+        assert [c.name for c in decoding.children] == [
+            "emission",
+            "dp",
+            "posteriors",
+        ]
+
+
+class LatticeEmission:
+    """Emission model whose frames *are* the per-state log-likelihoods,
+    so a test can hand the DP any lattice it likes."""
+
+    def __init__(self, n_states: int) -> None:
+        self.n_states = n_states
+
+    def frame_log_likelihood(self, frames: np.ndarray) -> np.ndarray:
+        return np.array(frames, dtype=np.float64)
+
+
+def lattice_decoder(n_phones, states_per_phone, self_loop, **cfg_kwargs):
+    bigram = np.full((n_phones, n_phones), 0.5 / max(n_phones - 1, 1))
+    np.fill_diagonal(bigram, 0.5 if n_phones > 1 else 1.0)
+    hmms = PhoneHMMSet(
+        n_phones,
+        states_per_phone,
+        LatticeEmission(n_phones * states_per_phone),
+        self_loop=self_loop,
+        phone_log_bigram=np.log(bigram),
+    )
+    phone_set = PhoneSet(f"t{n_phones}", tuple(f"p{i}" for i in range(n_phones)))
+    return ViterbiDecoder(hmms, phone_set, DecoderConfig(**cfg_kwargs))
+
+
+@st.composite
+def ragged_lattices(draw):
+    """Batches of lattices with adversarial shapes and values.
+
+    One long row next to short ones (T_max much larger than T_i), empty
+    rows, values from a three-point set so argmax ties are common, and
+    optionally a frame where every state scores -inf.  Ten phones make
+    the cross-phone reductions long enough for summation order to show;
+    a self-loop below 0.5 makes leaving a state beat staying in it.
+    """
+    n_phones = draw(st.sampled_from([3, 10]))
+    s = draw(st.integers(1, 3))
+    n_states = n_phones * s
+    long_len = draw(st.integers(8, 24))
+    short = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    lengths = [long_len, *short]
+    order = draw(st.permutations(range(len(lengths))))
+    lengths = [lengths[i] for i in order]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pick = lambda n: rng.choice([0.0, -1.0, -2.5], size=(n, n_states))
+    else:
+        pick = lambda n: rng.normal(0.0, 1.0, size=(n, n_states))
+    frames = [pick(n) for n in lengths]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(range(len(lengths))))
+        if lengths[row]:
+            frames[row][draw(st.integers(0, lengths[row] - 1))] = -np.inf
+    mode = draw(st.sampled_from(["fb", "softmax"]))
+    beam = draw(st.sampled_from([None, 1.0, 40.0]))
+    dp = dict(
+        n_phones=n_phones,
+        states_per_phone=s,
+        self_loop=draw(st.sampled_from([0.1, 0.55])),
+    )
+    return dp, frames, mode, beam
+
+
+class TestOracleDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(case=ragged_lattices())
+    def test_decode_batch_matches_scalar_oracle(self, case):
+        dp, frames, mode, beam = case
+        decoder = lattice_decoder(**dp, posterior_mode=mode, beam=beam, top_k=3)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            batch = decoder.decode_batch(frames)
+            oracle = _oracle(decoder, frames)
+        assert len(batch) == len(oracle)
+        for sb, so in zip(batch, oracle):
+            assert len(sb) == len(so)
+            for a, b in zip(sb.slots, so.slots):
+                assert a.phones.tobytes() == b.phones.tobytes()
+                assert a.probs.tobytes() == b.probs.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=ragged_lattices())
+    def test_dp_outputs_match_scalar_oracle(self, case):
+        dp, frames, mode, beam = case
+        decoder = lattice_decoder(**dp, posterior_mode=mode, beam=beam)
+        scalar = ScalarDecoder(decoder)
+        lengths = np.array([f.shape[0] for f in frames])
+        lattice = np.zeros((len(frames), lengths.max(), frames[0].shape[1]))
+        for i, f in enumerate(frames):
+            lattice[i, : f.shape[0]] = f
+        with np.errstate(invalid="ignore", divide="ignore"):
+            paths, crosseds = decoder.viterbi_batch(lattice, lengths)
+            post = decoder.state_posteriors_batch(lattice, lengths)
+            for i, f in enumerate(frames):
+                path, crossed = scalar.viterbi(f)
+                assert paths[i].tobytes() == path.tobytes()
+                assert crosseds[i].tobytes() == crossed.tobytes()
+                if f.shape[0]:
+                    want = scalar.state_posteriors(f)
+                    assert post[i, : f.shape[0]].tobytes() == want.tobytes()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.frontend.am.gmm import DiagonalGMM
 from repro.frontend.am.hmm import (
+    EMISSION_BLOCK_ELEMENTS,
     GMMEmission,
     NeuralEmission,
     PhoneHMMSet,
@@ -99,6 +102,90 @@ class TestEmissions:
         )
         assert em.n_states == 4
         assert em.frame_log_likelihood(frames[:3]).shape == (3, 4)
+
+
+def mixed_emission(rng, dims=13) -> GMMEmission:
+    """EM-fitted 4-component states next to 1-component fallbacks.
+
+    States 0-9 get 40 frames each (EM fit), 10-13 get 3 frames (a
+    single Gaussian on their own statistics) and 14-15 none (the global
+    single-Gaussian fallback).
+    """
+    counts = [40] * 10 + [3] * 4
+    frames = np.vstack(
+        [rng.normal(s, 1.0 + s / 10, size=(n, dims)) for s, n in enumerate(counts)]
+    )
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return GMMEmission.train(frames, labels, 16, n_components=4, seed=3)
+
+
+def per_state_log_likelihood(em: GMMEmission, frames: np.ndarray) -> np.ndarray:
+    """The reference: one DiagonalGMM.log_likelihood call per state."""
+    out = np.empty((frames.shape[0], em.n_states))
+    for s, gmm in enumerate(em._gmms):
+        out[:, s] = gmm.log_likelihood(frames)
+    return out
+
+
+class TestStackedEmission:
+    """GMMEmission scores states stacked; every value must equal the
+    per-state DiagonalGMM call byte for byte."""
+
+    def test_mixed_component_counts_are_grouped(self, rng):
+        em = mixed_emission(rng)
+        components = sorted(g.means.shape[1] for g in em._groups)
+        assert components == [1, 4]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 3])
+    def test_block_boundary_bitwise(self, rng, offset):
+        em = mixed_emission(rng)
+        # The 10 EM-fitted states form the group with the smallest blocks.
+        block = EMISSION_BLOCK_ELEMENTS // (10 * 4 * 13)
+        frames = rng.normal(4.0, 3.0, size=(block + offset, 13))
+        assert (
+            em.frame_log_likelihood(frames).tobytes()
+            == per_state_log_likelihood(em, frames).tobytes()
+        )
+
+    def test_several_blocks_bitwise(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            "repro.frontend.am.hmm.EMISSION_BLOCK_ELEMENTS", 10 * 4 * 13 * 5
+        )
+        em = mixed_emission(rng)
+        frames = rng.normal(4.0, 3.0, size=(23, 13))
+        assert (
+            em.frame_log_likelihood(frames).tobytes()
+            == per_state_log_likelihood(em, frames).tobytes()
+        )
+
+    @pytest.mark.parametrize("n_frames", [0, 1])
+    def test_degenerate_lengths_bitwise(self, rng, n_frames):
+        em = mixed_emission(rng)
+        frames = rng.normal(size=(n_frames, 13))
+        out = em.frame_log_likelihood(frames)
+        assert out.shape == (n_frames, 16)
+        assert out.tobytes() == per_state_log_likelihood(em, frames).tobytes()
+
+    def test_peak_memory_bounded(self, rng):
+        # 600 frames of 39-dim features against 111 4-component states:
+        # one unblocked broadcast would need ~80 MB per temporary.
+        gmms = [
+            DiagonalGMM.from_parameters(
+                rng.normal(size=(4, 39)),
+                rng.uniform(0.5, 2.0, size=(4, 39)),
+                np.full(4, 0.25),
+            )
+            for _ in range(111)
+        ]
+        em = GMMEmission(gmms)
+        frames = rng.normal(size=(600, 39))
+        tracemalloc.start()
+        try:
+            em.frame_log_likelihood(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPhoneHMMSet:

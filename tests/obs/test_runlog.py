@@ -17,8 +17,10 @@ from repro.obs.runlog import (
     MANIFEST_FILE,
     RUNLOG_SCHEMA,
     SPANS_FILE,
+    RunLog,
     aggregate_stages,
     default_runlog_root,
+    git_revision,
 )
 
 SAMPLE = Path(__file__).parent.parent / "data" / "sample_runlog"
@@ -138,6 +140,23 @@ class TestRender:
         assert "inner" not in tree
 
 
+    def test_small_rtf_keeps_significant_digits(self):
+        # 1.2 ms of decoding for 40 s of audio: RTF 3e-05, not 0.0000.
+        run = RunLog(
+            Path("mem"),
+            {
+                "name": "rtf",
+                "stages": {
+                    "decoding": {"calls": 1, "wall_s": 0.0012, "audio_s": 40.0}
+                },
+            },
+            [],
+        )
+        rollup = render_runlog(run).split("per-stage roll-up")[1]
+        row = next(line for line in rollup.splitlines() if "decoding" in line)
+        assert row.split()[-1] == "3e-05"
+
+
 class TestSampleRunlog:
     """The checked-in sample the CI docs job renders."""
 
@@ -163,6 +182,18 @@ class TestSampleRunlog:
 
 
 class TestDefaults:
+    def test_git_revision_independent_of_cwd(self, tmp_path, monkeypatch):
+        # The default looks at the package's checkout, not the process
+        # cwd: launching from a directory outside any work tree must not
+        # lose (or change) the recorded revision.
+        import repro.obs.runlog as runlog
+
+        package_dir = Path(runlog.__file__).resolve().parent
+        expected = git_revision(package_dir)
+        monkeypatch.chdir(tmp_path)
+        assert git_revision() == expected
+        assert git_revision(tmp_path) is None
+
     def test_runlog_root_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUNLOG_DIR", raising=False)
         assert default_runlog_root() == Path("runlogs")
