@@ -86,19 +86,27 @@ class LanguageSpec:
         rng = ensure_rng(rng)
         if n <= 0:
             return np.empty(0, dtype=np.int64)
-        local = np.empty(n, dtype=np.int64)
-        # Inverse-CDF sampling against precomputed cumulative rows keeps the
-        # Python-level loop body to two vectorized ops per step.
-        cum_init = np.cumsum(self.initial)
+        # Inverse-CDF sampling against cumulative rows.  Each state's
+        # row is searched once for the whole ``u`` vector, the first
+        # time the chain visits it, so the walk is plain Python over
+        # precomputed successor lists.
         cum_trans = np.cumsum(self.transition, axis=1)
         u = rng.random(n)
-        local[0] = np.searchsorted(cum_init, u[0], side="right")
+        state = int(np.cumsum(self.initial).searchsorted(u[0], "right"))
+        local = [state]
+        successors: dict[int, list[int]] = {}
         for t in range(1, n):
-            local[t] = np.searchsorted(
-                cum_trans[local[t - 1]], u[t], side="right"
-            )
-        np.clip(local, 0, self.n_phones - 1, out=local)
-        return self.inventory[local]
+            row = successors.get(state)
+            if row is None:
+                row = successors[state] = (
+                    cum_trans[state].searchsorted(u, "right").tolist()
+                )
+            state = row[t]
+            local.append(state)
+        idx = np.array(local, dtype=np.int64)
+        # Rounding can leave a cumulative row just short of 1.
+        np.minimum(idx, self.n_phones - 1, out=idx)
+        return self.inventory[idx]
 
     def stationary_distribution(self) -> np.ndarray:
         """Stationary distribution of the transition chain (power iteration)."""

@@ -23,7 +23,9 @@ makes that graph explicit:
 Every stage runs under an ``exec.<family>`` trace span and increments
 ``exec.stage.<family>.executed`` or ``.cached`` in the process metrics
 registry, so runlogs show exactly which stages a resumed campaign
-skipped.
+skipped.  A store hit's span (``cached=True``) covers both the payload
+read — its ``store.get`` child — and the decode; a miss opens no cached
+span, and the put after an executed stage runs under ``store.put``.
 
 :func:`run_stage` is the single-stage primitive (span + counters + store
 round-trip); the graph runner and direct callers such as
@@ -163,11 +165,19 @@ def run_stage(
         return retry.call(fn, key=f"{label}/{what}")
 
     def load_cached() -> Any:
-        try:
-            stored = guarded(lambda: store.get(key), "get")
-        except KeyError:
-            return _MISS
-        with trace.span(f"exec.{family}", cached=True):
+        # A hit reads and decodes inside the cached stage span (the
+        # store adds its own ``store.get`` child); a miss opens none.
+        # get() runs either way, for fault injection and miss counting.
+        span = (
+            trace.span(f"exec.{family}", cached=True)
+            if store.has(key)
+            else trace.NULL_SPAN
+        )
+        with span:
+            try:
+                stored = guarded(lambda: store.get(key), "get")
+            except KeyError:
+                return _MISS
             value = decode(stored) if decode is not None else stored
         registry.counter(f"exec.stage.{family}.cached").inc()
         return value

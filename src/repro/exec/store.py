@@ -14,15 +14,34 @@ the same value.
 
 Layout of a store directory::
 
-    index.json                      key -> {kind, file, sha256, size, …}
+    index.json                      {"version": 2, "entries": {key -> {kind,
+                                    file, sha256, size, created_unix, meta}}}
     objects/<kk>/<key>.<ext>        payload files, sharded by key prefix
 
-Every payload is verified against its recorded SHA-256 on read; a
-mismatch raises :class:`StoreCorruptionError` rather than returning
-stale or tampered data (the same hard-fail posture as
+Payloads of kind ``sparse``, ``array`` and ``arrays`` are ``.bin`` files
+in a flat format: a 4-byte little-endian header length, a JSON member
+table of ``[name, dtype.str, shape, offset, nbytes]`` rows, then the
+members' raw C-order buffers (offsets count from the end of the
+header).  A ``sparse`` payload holds the members ``dim``, ``indptr``,
+``indices`` and ``values``; an ``array`` payload the one member
+``value``.  Members keep their exact dtype, byte order included;
+object dtypes are rejected.  ``json`` payloads are ``.json`` text.
+
+Every :meth:`~ArtifactStore.get` reads its payload file once and both
+verifies the recorded SHA-256 and parses the arrays from that one
+buffer, so what is returned is exactly what was verified; a mismatch
+raises :class:`StoreCorruptionError` rather than returning stale or
+tampered data (the same hard-fail posture as
 :mod:`repro.serve.artifacts`).  The index is rewritten atomically
 (temp file + ``os.replace``) after each put, so a killed run leaves a
 loadable store behind — the basis of resumable campaigns.
+
+The index carries a schema ``version`` (:data:`STORE_VERSION`).  An
+index written under any other version — schema 1 stored ``.npz``
+payloads — opens as an empty store: every lookup misses, the stages
+recompute, and the next index write keeps none of the old entries.  Old
+payload files are left on disk untouched; their names never collide
+with the current ``.bin`` payloads.
 
 Crash and concurrency hygiene
 -----------------------------
@@ -47,6 +66,9 @@ store I/O.
 Store traffic is accounted in the process-wide metrics registry under
 ``exec.store.hits`` / ``exec.store.misses`` / ``exec.store.bytes``, so
 traced runs (``REPRO_TRACE=1``) show cache behaviour in their runlogs.
+Each hit runs under a ``store.get`` trace span and each put under a
+``store.put`` span (:data:`~repro.obs.trace.NULL_SPAN` with tracing
+off).
 """
 
 from __future__ import annotations
@@ -54,6 +76,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
 import time
@@ -64,8 +87,8 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.faults.injection import ambient_plan
+from repro.obs import trace
 from repro.obs.metrics import default_registry
-from repro.utils.io import load_sparse, save_npz, save_sparse
 from repro.utils.sparse import SparseMatrix
 
 __all__ = [
@@ -74,6 +97,7 @@ __all__ = [
     "stage_key",
     "ArtifactStore",
     "PAYLOAD_KINDS",
+    "STORE_VERSION",
 ]
 
 #: Parent-side accounting of store traffic (see module docstring).
@@ -84,9 +108,15 @@ _STORE_BYTES = default_registry().counter("exec.store.bytes")
 #: Payload kinds the store can (de)serialise.
 PAYLOAD_KINDS = ("sparse", "array", "arrays", "json")
 
+#: Schema of ``index.json`` and its payloads (1: ``.npz`` payloads;
+#: 2: flat ``.bin`` payloads).  An index of another version opens empty.
+STORE_VERSION = 2
+
 _INDEX = "index.json"
 _OBJECTS = "objects"
-_EXT = {"sparse": "npz", "array": "npz", "arrays": "npz", "json": "json"}
+_EXT = {"sparse": "bin", "array": "bin", "arrays": "bin", "json": "json"}
+#: Length prefix of a flat payload's JSON member table.
+_HEADER_LEN = struct.Struct("<I")
 
 _LOCK = "index.lock"
 #: A lock file older than this is presumed abandoned (killed writer)
@@ -140,6 +170,91 @@ def stage_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _encode_members(members: dict[str, Any]) -> bytes:
+    """Flat payload of named arrays (see the module docstring)."""
+    table: list[list[Any]] = []
+    buffers: list[bytes] = []
+    offset = 0
+    for name, value in members.items():
+        arr = np.asarray(value)
+        if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
+            raise TypeError(
+                f"store member {name!r} has dtype {arr.dtype}, which has "
+                "no flat encoding"
+            )
+        buf = arr.tobytes()  # C order, in the array's own byte order
+        table.append(
+            [str(name), arr.dtype.str, list(arr.shape), offset, len(buf)]
+        )
+        buffers.append(buf)
+        offset += len(buf)
+    header = json.dumps(table, separators=(",", ":")).encode()
+    return b"".join([_HEADER_LEN.pack(len(header)), header, *buffers])
+
+
+def _decode_members(data: bytes) -> dict[str, np.ndarray]:
+    """Named arrays of a flat payload; each one an owned, writable copy."""
+    (header_len,) = _HEADER_LEN.unpack_from(data)
+    start = _HEADER_LEN.size + header_len
+    members: dict[str, np.ndarray] = {}
+    for name, dtype_str, shape, offset, nbytes in json.loads(
+        data[_HEADER_LEN.size : start]
+    ):
+        dtype = np.dtype(dtype_str)
+        if not nbytes:
+            members[name] = np.empty(shape, dtype=dtype)
+            continue
+        flat = np.frombuffer(
+            data, dtype=dtype, count=nbytes // dtype.itemsize,
+            offset=start + offset,
+        )
+        members[name] = flat.reshape(shape).copy()
+    return members
+
+
+def _encode(kind: str, value: Any) -> bytes:
+    """Payload bytes of ``value`` as payload kind ``kind``."""
+    if kind == "sparse":
+        if not isinstance(value, SparseMatrix):
+            raise TypeError("kind 'sparse' requires a SparseMatrix")
+        return _encode_members(
+            {
+                "dim": np.int64(value.dim),
+                "indptr": value.indptr,
+                "indices": value.indices,
+                "values": value.values,
+            }
+        )
+    if kind == "array":
+        return _encode_members(
+            {"value": np.asarray(value, dtype=np.float64)}
+        )
+    if kind == "arrays":
+        if not isinstance(value, dict) or not value:
+            raise TypeError(
+                "kind 'arrays' requires a non-empty dict of arrays"
+            )
+        return _encode_members(value)
+    return json.dumps(value, sort_keys=True, default=list).encode()
+
+
+def _decode(kind: str, data: bytes) -> Any:
+    """Inverse of :func:`_encode`."""
+    if kind == "json":
+        return json.loads(data)
+    members = _decode_members(data)
+    if kind == "sparse":
+        return SparseMatrix(
+            int(members["dim"]),
+            members["indptr"],
+            members["indices"],
+            members["values"],
+        )
+    if kind == "array":
+        return members["value"]
+    return members
+
+
 def _file_sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -180,7 +295,10 @@ class ArtifactStore:
             self._index = disk
 
     def _read_index(self) -> dict[str, dict[str, Any]] | None:
-        """Parse ``index.json`` from disk (``None`` when absent)."""
+        """Parse ``index.json`` from disk (``None`` when absent).
+
+        An index of another schema version reads as no entries.
+        """
         index_path = self.directory / _INDEX
         if not index_path.exists():
             return None
@@ -196,6 +314,8 @@ class ArtifactStore:
             raise StoreError(
                 f"store index {index_path} has an unexpected layout"
             )
+        if raw.get("version") != STORE_VERSION:
+            return {}  # another schema: everything misses and recomputes
         return raw["entries"]
 
     def _sweep_orphans(self) -> int:
@@ -371,7 +491,8 @@ class ArtifactStore:
             # put, so pretty-printing multiplies encoder work and bytes
             # across a campaign for no functional gain.
             payload = json.dumps(
-                {"version": 1, "entries": merged}, sort_keys=True
+                {"version": STORE_VERSION, "entries": merged},
+                sort_keys=True,
             )
             fd, tmp = tempfile.mkstemp(
                 dir=self.directory, prefix=".index-", suffix=".tmp"
@@ -411,68 +532,38 @@ class ArtifactStore:
                 f"unknown payload kind {kind!r}; expected one of "
                 f"{PAYLOAD_KINDS}"
             )
+        data = _encode(kind, value)
         path = self._object_path(key, kind)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # The temp name must keep the real extension: np.savez_compressed
-        # appends ".npz" to anything that lacks it, which would orphan
-        # the handle mkstemp returned.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=_TMP_PREFIX, suffix=f".{_EXT[kind]}"
-        )
-        os.close(fd)
-        tmp = Path(tmp_name)
-        try:
-            # Store payloads are written uncompressed (compresslevel=0):
-            # every get re-hashes the file, so deflate would cost on the
-            # read path too, and at campaign scale the npz bodies are
-            # small next to the decode work they memoise.
-            if kind == "sparse":
-                if not isinstance(value, SparseMatrix):
-                    raise TypeError("kind 'sparse' requires a SparseMatrix")
-                save_sparse(tmp, value, compresslevel=0)
-            elif kind == "array":
-                save_npz(
-                    tmp,
-                    {"value": np.asarray(value, dtype=np.float64)},
-                    compresslevel=0,
-                )
-            elif kind == "arrays":
-                if not isinstance(value, dict) or not value:
-                    raise TypeError(
-                        "kind 'arrays' requires a non-empty dict of arrays"
-                    )
-                save_npz(
-                    tmp,
-                    {k: np.asarray(v) for k, v in value.items()},
-                    compresslevel=0,
-                )
-            else:  # json
-                tmp.write_text(
-                    json.dumps(value, sort_keys=True, default=list)
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        size = path.stat().st_size
-        _STORE_BYTES.inc(size)
-        with self._lock:
-            self._index[key] = {
-                "kind": kind,
-                "file": str(path.relative_to(self.directory)),
-                "sha256": _file_sha256(path),
-                "size": size,
-                "created_unix": time.time(),
-                "meta": meta or {},
-            }
-            self._write_index()
+        with trace.span("store.put", kind=kind) as sp:
+            sp.inc("bytes", len(data))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=_TMP_PREFIX)
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                Path(tmp).unlink(missing_ok=True)
+                raise
+            _STORE_BYTES.inc(len(data))
+            with self._lock:
+                self._index[key] = {
+                    "kind": kind,
+                    "file": str(path.relative_to(self.directory)),
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "size": len(data),
+                    "created_unix": time.time(),
+                    "meta": meta or {},
+                }
+                self._write_index()
 
     def get(self, key: str) -> Any:
         """Load and return the payload under ``key``.
 
         Raises ``KeyError`` when the key is unknown (a *miss*) and
         :class:`StoreCorruptionError` when the payload file is missing
-        or fails checksum verification (never stale data).
+        or fails checksum verification (never stale data).  The file is
+        read once; the checksum and the parse both use that buffer.
         """
         ambient_plan().apply("store")
         with self._lock:
@@ -480,29 +571,22 @@ class ArtifactStore:
         if entry is None:
             _STORE_MISSES.inc()
             raise KeyError(f"no artifact stored under key {key[:12]}…")
-        path = self.directory / entry["file"]
-        if not path.exists():
-            raise StoreCorruptionError(
-                f"artifact payload {entry['file']} is missing from disk"
-            )
-        actual = _file_sha256(path)
-        if actual != entry["sha256"]:
-            raise StoreCorruptionError(
-                f"artifact payload {entry['file']} failed checksum "
-                f"verification (sha256 {actual[:12]}… != index "
-                f"{entry['sha256'][:12]}…)"
-            )
-        kind = entry["kind"]
-        if kind == "sparse":
-            value: Any = load_sparse(path)
-        elif kind == "array":
-            with np.load(path) as data:
-                value = data["value"].copy()
-        elif kind == "arrays":
-            with np.load(path) as data:
-                value = {name: data[name].copy() for name in data.files}
-        else:  # json
-            value = json.loads(path.read_text())
+        with trace.span("store.get", kind=entry["kind"]) as sp:
+            try:
+                data = (self.directory / entry["file"]).read_bytes()
+            except FileNotFoundError:
+                raise StoreCorruptionError(
+                    f"artifact payload {entry['file']} is missing from disk"
+                ) from None
+            sp.inc("bytes", len(data))
+            actual = hashlib.sha256(data).hexdigest()
+            if actual != entry["sha256"]:
+                raise StoreCorruptionError(
+                    f"artifact payload {entry['file']} failed checksum "
+                    f"verification (sha256 {actual[:12]}… != index "
+                    f"{entry['sha256'][:12]}…)"
+                )
+            value = _decode(entry["kind"], data)
         _STORE_HITS.inc()
         return value
 

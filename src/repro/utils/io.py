@@ -32,33 +32,22 @@ __all__ = [
 ]
 
 
-def save_npz(
-    path: str | Path, arrays: dict[str, np.ndarray], *, compresslevel: int = 1
-) -> None:
+def save_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """Write arrays to a standard ``.npz`` (readable by ``np.load``).
 
     Identical on-disk format to :func:`numpy.savez_compressed` except
-    for the deflate level: numpy hardwires zlib level 6, which showed up
-    as the single largest store-write cost in cold-campaign profiles.
-    Level 1 compresses float payloads ~4-5x faster for a few percent of
-    size — the right trade for a content-addressed cache that is written
-    once per stage and usually read back via ``np.load`` anyway.
-    ``compresslevel=0`` stores members uncompressed (``np.load`` reads
-    either), which the artifact store uses: its payloads are re-hashed
-    on every ``get``, so deflate would be paid on the hot path too.
+    for the deflate level: numpy hardwires zlib level 6, while level 1
+    compresses float payloads ~4-5x faster for a few percent of size —
+    the right trade for checkpoints that are written once and read back
+    via ``np.load``.
     """
     path = Path(path)
     if path.suffix != ".npz":
         # Match numpy's savez behaviour so callers can pass bare names.
         path = path.with_name(path.name + ".npz")
-    if compresslevel == 0:
-        kwargs = {"compression": zipfile.ZIP_STORED}
-    else:
-        kwargs = {
-            "compression": zipfile.ZIP_DEFLATED,
-            "compresslevel": compresslevel,
-        }
-    with zipfile.ZipFile(path, "w", **kwargs) as zf:
+    with zipfile.ZipFile(
+        path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as zf:
         for name, arr in arrays.items():
             with zf.open(name + ".npy", "w", force_zip64=True) as f:
                 np.lib.format.write_array(
@@ -66,9 +55,7 @@ def save_npz(
                 )
 
 
-def save_sparse(
-    path: str | Path, matrix: SparseMatrix, *, compresslevel: int = 1
-) -> None:
+def save_sparse(path: str | Path, matrix: SparseMatrix) -> None:
     """Write a :class:`SparseMatrix` to an ``.npz`` file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -80,7 +67,6 @@ def save_sparse(
             "indices": matrix.indices,
             "values": matrix.values,
         },
-        compresslevel=compresslevel,
     )
 
 

@@ -12,6 +12,8 @@ from repro.corpus.language import (
     make_language_family,
 )
 from repro.corpus.phoneset import universal_phone_set
+from repro.corpus.splits import CorpusConfig, make_corpus_bundle
+from tests.oracles.language import sample_phones_reference
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,81 @@ class TestLanguageSpec:
         pi = lang.stationary_distribution()
         np.testing.assert_allclose(pi.sum(), 1.0)
         np.testing.assert_allclose(pi @ lang.transition, pi, atol=1e-8)
+
+
+class TestSamplePhonesOracle:
+    """The per-row sampler against the per-step reference, bytewise."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 120, 600])
+    def test_matches_reference(self, universal, seed, n):
+        lang = make_language("l", universal, seed, inventory_size=36)
+        fast = lang.sample_phones(n, np.random.default_rng(seed))
+        ref = sample_phones_reference(lang, n, np.random.default_rng(seed))
+        assert fast.dtype == ref.dtype
+        assert fast.tobytes() == ref.tobytes()
+
+    def test_same_generator_state_afterwards(self, universal):
+        # Both consume exactly ``n`` uniforms, so later draws agree too.
+        lang = make_language("l", universal, 4, inventory_size=20)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        lang.sample_phones(50, a)
+        sample_phones_reference(lang, 50, b)
+        assert a.random() == b.random()
+
+    def test_sparse_chain_matches_reference(self, universal):
+        # Very peaked rows (small concentration) and a tiny inventory:
+        # long runs through few states, many zero-probability arcs.
+        lang = make_language(
+            "l", universal, 2, inventory_size=3, concentration=0.02
+        )
+        for seed in range(20):
+            fast = lang.sample_phones(40, seed)
+            ref = sample_phones_reference(lang, 40, seed)
+            assert fast.tobytes() == ref.tobytes()
+
+    def test_row_short_of_one_clips_to_last_phone(self):
+        # Rows that sum to just under 1 (within the validation
+        # tolerance) let a uniform land past the last cumulative value.
+        class Fixed(np.random.Generator):
+            def random(self, size=None):
+                return np.array([0.1, 0.2, 0.9999999])
+
+        short = np.array([0.5, 0.25, 0.25 - 5e-7])
+        lang = LanguageSpec(
+            "short",
+            inventory=np.array([10, 11, 12]),
+            initial=short,
+            transition=np.tile(short, (3, 1)),
+        )
+        rng = np.random.PCG64(0)
+        fast = lang.sample_phones(3, Fixed(rng))
+        ref = sample_phones_reference(lang, 3, Fixed(rng))
+        assert fast.tolist() == ref.tolist() == [10, 10, 12]
+
+    def test_corpus_bytewise_identical(self, monkeypatch):
+        config = CorpusConfig(
+            n_languages=3,
+            train_per_language=2,
+            dev_per_language=1,
+            test_per_language=2,
+            durations=(3.0, 1.0),
+            train_duration=5.0,
+            seed=7,
+        )
+        fast = make_corpus_bundle(config)
+        monkeypatch.setattr(
+            LanguageSpec, "sample_phones", sample_phones_reference
+        )
+        ref = make_corpus_bundle(config)
+        splits = [(fast.train, ref.train), (fast.dev, ref.dev)]
+        splits += [(fast.test[d], ref.test[d]) for d in config.durations]
+        for got, want in splits:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.utt_id == b.utt_id and a.language == b.language
+                assert a.phones.tobytes() == b.phones.tobytes()
+                assert a.phone_frames.tobytes() == b.phone_frames.tobytes()
 
 
 class TestLanguageFamily:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.exec.graph import Stage, StageGraph, run_stage
 from repro.exec.store import ArtifactStore
+from repro.obs import trace
 
 
 @pytest.fixture()
@@ -22,6 +24,57 @@ def _chain_graph(log: list[str]) -> StageGraph:
     graph.stage("b", lambda deps: (log.append("b"), deps["a"] + 1)[1], deps=("a",))
     graph.stage("c", lambda deps: (log.append("c"), deps["b"] + 1)[1], deps=("b",))
     return graph
+
+
+def _shape(span) -> list:
+    """``[(name, cached, [children…]), …]`` of a span's subtree."""
+    return [
+        (child.name, child.attrs.get("cached"), _shape(child))
+        for child in span.children
+    ]
+
+
+class TestStageSpans:
+    """Where store traffic lands in the trace of one stage."""
+
+    @pytest.fixture()
+    def traced(self):
+        trace.stop_trace()
+        trace.start_trace("test")
+        yield
+        trace.stop_trace()
+
+    def _run(self, store, compute):
+        return run_stage(
+            compute,
+            family="vote",
+            store=store,
+            key="5" * 64,
+            kind="arrays",
+            decode=lambda d: d["x"],
+            encode=lambda v: {"x": v},
+        )
+
+    def test_miss_opens_no_cached_span(self, store, traced):
+        self._run(store, lambda: np.arange(3.0))
+        assert _shape(trace.stop_trace()) == [
+            ("exec.vote", False, []),
+            ("store.put", None, []),
+        ]
+
+    def test_hit_reads_inside_the_cached_span(self, store, traced):
+        store.put("5" * 64, "arrays", {"x": np.arange(3.0)})
+        trace.stop_trace()
+        trace.start_trace("warm")
+        value = self._run(store, lambda: pytest.fail("must not compute"))
+        root = trace.stop_trace()
+        np.testing.assert_array_equal(value, np.arange(3.0))
+        assert _shape(root) == [
+            ("exec.vote", True, [("store.get", None, [])]),
+        ]
+        (get,) = root.children[0].children
+        assert get.attrs["kind"] == "arrays"
+        assert get.counters["bytes"] == store.entry("5" * 64)["size"]
 
 
 class TestRunStage:

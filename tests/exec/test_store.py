@@ -1,15 +1,24 @@
-"""ArtifactStore mechanics: keying, payload kinds, persistence, metrics."""
+"""ArtifactStore: keys, payload codec, schema, persistence, accounting."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core.campaign import run_campaign
+from repro.core.config import ExperimentConfig
 from repro.exec.store import (
     PAYLOAD_KINDS,
+    STORE_VERSION,
     ArtifactStore,
+    StoreCorruptionError,
     StoreError,
     stage_key,
 )
@@ -112,6 +121,227 @@ class TestRoundTrips:
             store.put("f" * 64, "arrays", np.eye(2))
 
 
+_DTYPES = ["<f8", ">f8", "<f4", "<i8", ">i8", "|u1", "|b1", "<U4", ">U2"]
+_SHAPES = st.sampled_from([(), (0,), (0, 3), (3, 0)]) | hnp.array_shapes(
+    min_dims=1, max_dims=3, min_side=0, max_side=4
+)
+
+
+@st.composite
+def _member(draw) -> np.ndarray:
+    """Arrays of every layout the store may see, edge values included."""
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    shape = draw(_SHAPES)
+    elements = None
+    if dtype.kind == "f":
+        elements = st.floats(width=8 * dtype.itemsize)  # NaN, ±inf, -0.0
+    layout = draw(st.sampled_from(["c", "strided", "transposed"]))
+    if layout == "strided" and shape:
+        base = draw(
+            hnp.arrays(dtype, (2 * shape[0], *shape[1:]), elements=elements)
+        )
+        return base[::2]
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    return arr.T if layout == "transposed" else arr
+
+
+def _assert_same(loaded: np.ndarray, original: np.ndarray) -> None:
+    assert loaded.dtype == original.dtype
+    assert loaded.shape == original.shape
+    assert loaded.tobytes() == original.tobytes()
+
+
+class TestFlatCodec:
+    """The payload codec: exact round-trips and hard failures."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        members=st.dictionaries(
+            st.text(max_size=6), _member(), min_size=1, max_size=4
+        )
+    )
+    def test_arrays_round_trip_bitwise(self, store, members):
+        store.put("h" * 64, "arrays", members)
+        loaded = store.get("h" * 64)
+        assert list(loaded) == list(members)
+        for name, original in members.items():
+            _assert_same(loaded[name], original)
+            assert loaded[name].flags.writeable
+            assert loaded[name].flags.c_contiguous
+
+    def test_float_edge_values(self, store):
+        edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+        store.put("a" * 64, "array", edge)
+        _assert_same(store.get("a" * 64), edge)
+        store.put("b" * 64, "arrays", {"be": edge.astype(">f8")})
+        _assert_same(store.get("b" * 64)["be"], edge.astype(">f8"))
+
+    def test_string_member_round_trips(self, store):
+        # OneVsRestSVM state carries its loss name as a <U member.
+        value = {"loss": np.array("squared_hinge"), "w": np.eye(2)}
+        store.put("c" * 64, "arrays", value)
+        _assert_same(store.get("c" * 64)["loss"], value["loss"])
+
+    def test_members_are_writable_and_independent(self, store):
+        store.put("d" * 64, "arrays", {"a": np.zeros(4), "b": np.ones(4)})
+        loaded = store.get("d" * 64)
+        loaded["a"][:] = 7.0
+        assert not np.shares_memory(loaded["a"], loaded["b"])
+        np.testing.assert_array_equal(loaded["b"], np.ones(4))
+        np.testing.assert_array_equal(store.get("d" * 64)["a"], np.zeros(4))
+
+    def test_sparse_members_are_owned(self, store):
+        store.put("e" * 64, "sparse", _tiny_sparse())
+        loaded = store.get("e" * 64)
+        assert loaded.values.flags.writeable
+        assert not np.shares_memory(loaded.indices, loaded.values)
+
+    def test_object_arrays_rejected(self, store):
+        ragged = np.array([1, "two", None], dtype=object)
+        with pytest.raises(TypeError, match="dtype"):
+            store.put("f" * 64, "arrays", {"ragged": ragged})
+        assert not store.has("f" * 64)
+        assert list(store.directory.glob("objects/*/*")) == []
+
+    def test_payload_is_one_flat_file(self, store):
+        store.put("7" * 64, "arrays", {"w": np.arange(3, dtype="<i8")})
+        entry = store.entry("7" * 64)
+        assert entry["file"].endswith(".bin")
+        data = (store.directory / entry["file"]).read_bytes()
+        header_len = int.from_bytes(data[:4], "little")
+        table = json.loads(data[4 : 4 + header_len])
+        assert table == [["w", "<i8", [3], 0, 24]]
+        assert data[4 + header_len :] == np.arange(3, dtype="<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+        assert entry["size"] == len(data)
+
+    def _payload(self, store) -> tuple[str, bytes]:
+        store.put("8" * 64, "arrays", {"w": np.arange(6.0)})
+        path = store.directory / store.entry("8" * 64)["file"]
+        return path, path.read_bytes()
+
+    def test_flipped_header_byte_detected(self, store):
+        path, data = self._payload(store)
+        corrupt = bytearray(data)
+        corrupt[6] ^= 0x01  # inside the JSON member table
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            store.get("8" * 64)
+
+    def test_flipped_data_byte_detected(self, store):
+        path, data = self._payload(store)
+        corrupt = bytearray(data)
+        corrupt[-1] ^= 0x80
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            store.get("8" * 64)
+
+    def test_truncated_payload_detected(self, store):
+        path, data = self._payload(store)
+        path.write_bytes(data[:-8])
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            store.get("8" * 64)
+
+
+def _downgrade_to_v1(store: ArtifactStore) -> None:
+    """Rewrite ``store`` as the schema-1 layout: ``.npz`` payloads."""
+    entries = {}
+    for key in store.keys():
+        entry = store.entry(key)
+        path = store.directory / entry["file"]
+        value = store.get(key)
+        if entry["kind"] != "json":
+            if entry["kind"] == "sparse":
+                value = {
+                    "dim": np.int64(value.dim),
+                    "indptr": value.indptr,
+                    "indices": value.indices,
+                    "values": value.values,
+                }
+            elif entry["kind"] == "array":
+                value = {"value": value}
+            path.unlink()
+            path = path.with_suffix(".npz")
+            np.savez(path, **value)
+        entry["file"] = str(path.relative_to(store.directory))
+        entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        entry["size"] = path.stat().st_size
+        entries[key] = entry
+    (store.directory / "index.json").write_text(
+        json.dumps({"version": 1, "entries": entries})
+    )
+
+
+class TestSchema:
+    def test_version_one_store_opens_as_all_misses(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.put("a" * 64, "sparse", _tiny_sparse())
+        store.put("b" * 64, "json", {"x": 1})
+        _downgrade_to_v1(store)
+        old = ArtifactStore(tmp_path / "store")
+        assert len(old) == 0
+        with pytest.raises(KeyError):
+            old.get("a" * 64)
+        old.put("c" * 64, "json", {"x": 2})
+        raw = json.loads((old.directory / "index.json").read_text())
+        # The next write keeps none of the schema-1 entries.
+        assert raw["version"] == STORE_VERSION == 2
+        assert list(raw["entries"]) == ["c" * 64]
+        assert ArtifactStore(tmp_path / "store").keys() == ["c" * 64]
+
+    def test_refresh_ignores_a_version_one_index(self, store):
+        store.put("a" * 64, "json", 1)
+        _downgrade_to_v1(ArtifactStore(store.directory))
+        fresh = ArtifactStore(store.directory)
+        assert fresh.refresh() == 0 and len(fresh) == 0
+
+    def test_campaign_over_version_one_store_recomputes(
+        self, tmp_path, make_system, tiny_config, fresh_metrics
+    ):
+        config = replace(
+            ExperimentConfig(corpus=tiny_config), vote_thresholds=(2, 1)
+        )
+
+        def campaign(store):
+            return run_campaign(
+                config,
+                system=make_system(store=store),
+                variants=("M1", "M2"),
+                fusion_threshold=1,
+            )
+
+        def counts():
+            snapshot = fresh_metrics.snapshot()
+            return {
+                name: snapshot[name]["value"]
+                for name in snapshot
+                if name.startswith(("exec.store.hits", "exec.stage."))
+            }
+
+        store = ArtifactStore(tmp_path / "store")
+        cold = campaign(store)
+        cold_counts = counts()
+        assert cold_counts["exec.stage.phi.executed"] > 0
+        _downgrade_to_v1(store)
+
+        # Over the old store the campaign runs exactly as it did cold.
+        fresh_metrics.reset()
+        rerun = campaign(ArtifactStore(tmp_path / "store"))
+        assert counts() == cold_counts
+        assert rerun.to_text() == cold.to_text()
+        assert rerun.baseline_cells == cold.baseline_cells
+        assert rerun.dba_fused == cold.dba_fused
+
+        fresh_metrics.reset()
+        warm = campaign(ArtifactStore(tmp_path / "store"))
+        assert fresh_metrics.counter("exec.stage.phi.executed").value == 0
+        assert warm.to_text() == cold.to_text()
+
+
 class TestPersistence:
     def test_index_survives_reopen(self, store):
         store.put("a" * 64, "json", [1, 2, 3])
@@ -132,7 +362,7 @@ class TestPersistence:
     def test_index_is_valid_json(self, store):
         store.put("a" * 64, "json", 1)
         raw = json.loads((store.directory / "index.json").read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == 2
         assert "a" * 64 in raw["entries"]
 
     def test_bad_index_rejected(self, tmp_path):
