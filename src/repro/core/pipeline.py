@@ -329,6 +329,8 @@ class PhonotacticSystem:
         self.durations: tuple[float, ...] = tuple(bundle.config.durations)
         self._labels: dict[str, np.ndarray] = {}
         self._matrices: dict[tuple[str, str], SparseMatrix] = {}
+        #: fitted LDA-MMI backends: key -> (dev arrays, weights, fit)
+        self._fusions: dict[tuple, tuple] = {}
         #: optional repro.utils.io.MatrixCache persisting supervectors
         #: across processes (the φ(x) work of Eqs. 16-19)
         self.matrix_cache = matrix_cache
@@ -450,23 +452,17 @@ class PhonotacticSystem:
             with self._cache_lock:
                 matrix = self._matrices.get(mkey)
             if matrix is None:
-                key = self._stage_key(
-                    "phi",
-                    frontend=frontend.name,
-                    corpus=tag,
-                    # Decode knobs that change numerics (float32 DP,
-                    # beam pruning) key separate artifacts; plain
-                    # batched float64 decoding is bitwise-identical and
-                    # adds nothing here.
-                    **_frontend_stage_params(frontend),
-                )
+                key = self._phi_key(frontend, tag)
+                # The compute adds the corpus's audio seconds before the
+                # put, so later runs time φ consumers without sampling.
+                meta = {"frontend": frontend.name, "corpus": tag}
                 matrix = run_stage(
-                    partial(self._compute_raw_matrix, frontend, tag),
+                    partial(self._compute_raw_matrix, frontend, tag, meta),
                     family="phi",
                     store=self.store,
                     key=key,
                     kind="sparse",
-                    meta={"frontend": frontend.name, "corpus": tag},
+                    meta=meta,
                     retry=self.retry,
                     claims=self.claims,
                 )
@@ -483,8 +479,43 @@ class PhonotacticSystem:
                     self._matrices[mkey] = matrix
         return matrix
 
-    def _compute_raw_matrix(self, frontend, tag: str) -> SparseMatrix:
-        """The uncached φ(x) work: decode every utterance and extract."""
+    def _phi_key(self, frontend, tag: str) -> str | None:
+        """Store key of the φ stage of one (frontend, corpus) pair."""
+        return self._stage_key(
+            "phi",
+            frontend=frontend.name,
+            corpus=tag,
+            # Decode knobs that change numerics (float32 DP, beam
+            # pruning) key separate artifacts; plain batched float64
+            # decoding is bitwise-identical and adds nothing here.
+            **_frontend_stage_params(frontend),
+        )
+
+    def _audio_seconds(self, frontend, tag: str) -> float:
+        """Audio seconds of a corpus tag, for the Table 5 RTF timers.
+
+        The φ stage records them in its store entry's ``meta``, so a
+        stage downstream of a φ hit (a threshold change rescoring the
+        test sets) reads them there instead of sampling the corpus.
+        Only an entry written without them falls back to the corpus.
+        """
+        key = self._phi_key(frontend, tag)
+        if key is not None:
+            try:
+                audio = self.store.entry(key)["meta"].get("audio_s")
+            except KeyError:
+                audio = None
+            if audio is not None:
+                return float(audio)
+        return self.corpus_for(tag).total_audio_seconds()
+
+    def _compute_raw_matrix(
+        self, frontend, tag: str, meta: dict | None = None
+    ) -> SparseMatrix:
+        """The uncached φ(x) work: decode every utterance and extract.
+
+        ``meta`` (the stage's store metadata) gains ``audio_s``.
+        """
         if self.matrix_cache is not None and self.matrix_cache.has(
             frontend.name, tag
         ):
@@ -492,6 +523,8 @@ class PhonotacticSystem:
         corpus = self.corpus_for(tag)
         seed = self.system.seed
         audio = corpus.total_audio_seconds()
+        if meta is not None:
+            meta["audio_s"] = audio
         decode = partial(_decode_utterance, frontend, seed)
         # Under quarantine/degrade a persistently failing utterance is
         # skipped: its slot becomes an empty sausage (a zero
@@ -695,7 +728,7 @@ class PhonotacticSystem:
                 raw = deps[phi_stage]
                 if tag == "dev":
                     return vsm.score_matrix(raw)
-                audio = self.corpus_for(tag).total_audio_seconds()
+                audio = self._audio_seconds(frontend, tag)
                 with self.timer.stage("sv_product", audio_seconds=audio):
                     return vsm.score_matrix(raw)
 
@@ -977,18 +1010,14 @@ class PhonotacticSystem:
         self, result: SystemResult, duration: float
     ) -> dict[str, tuple[float, float]]:
         """Per-frontend calibrated (EER %, C_avg %) — Tables 2–4 cells."""
-        dev_labels = self.labels_for("dev")
         test_labels = self.labels_for(f"test@{duration}")
         out: dict[str, tuple[float, float]] = {}
         tainted = self._tainted_frontends()
         for sub in result.subsystems:
             calibrated = run_stage(
-                lambda sub=sub: calibrate_scores(
-                    [sub.dev],
-                    dev_labels,
-                    [sub.test[duration]],
-                    system=self.system,
-                ),
+                lambda sub=sub: self._fitted_fusion(
+                    (result.model_id, sub.name), [sub.dev]
+                ).transform([sub.test[duration]]),
                 family="fuse",
                 store=self.store,
                 key=(
@@ -1040,7 +1069,6 @@ class PhonotacticSystem:
         exported with the frontends and VSMs for online serving
         (:mod:`repro.serve.artifacts`).
         """
-        dev_labels = self.labels_for("dev")
         dev_list: list[np.ndarray] = []
         counts: list[float] = []
         for result in results:
@@ -1055,12 +1083,46 @@ class PhonotacticSystem:
             if use_fit_count_weights and any(c > 0 for c in counts)
             else None
         )
+        return self._fitted_fusion(
+            ("fused", *(r.model_id for r in results)), dev_list, weights
+        )
+
+    def _fitted_fusion(
+        self,
+        key: tuple,
+        dev_list: list[np.ndarray],
+        weights: np.ndarray | None = None,
+    ) -> LdaMmiFusion:
+        """The LDA-MMI backend fitted on ``dev_list``, once per ``key``.
+
+        The fit reads dev scores only, so every test duration of one
+        subsystem (or fused member set) transforms through one fit.  A
+        kept fit answers only for the very same dev arrays and weights;
+        anything else refits and replaces it.
+        """
+        with self._cache_lock:
+            kept = self._fusions.get(key)
+        if kept is not None:
+            kept_devs, kept_weights, fusion = kept
+            same_weights = (
+                np.array_equal(kept_weights, weights)
+                if kept_weights is not None and weights is not None
+                else kept_weights is weights
+            )
+            if (
+                same_weights
+                and len(kept_devs) == len(dev_list)
+                and all(a is b for a, b in zip(kept_devs, dev_list))
+            ):
+                return fusion
         fusion = LdaMmiFusion(
             use_lda=self.system.use_lda,
             mmi_iterations=self.system.mmi_iterations,
         )
         with trace.span("fusion", subsystems=len(dev_list)):
-            fusion.fit(dev_list, dev_labels, weights=weights)
+            fusion.fit(dev_list, self.labels_for("dev"), weights=weights)
+        with self._cache_lock:
+            self._fusions[key] = (list(dev_list), weights, fusion)
         return fusion
 
     def fused_scores(

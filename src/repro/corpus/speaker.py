@@ -128,30 +128,47 @@ class SessionSampler:
         self.snr_mean_db = snr_mean_db
         self.snr_spread_db = snr_spread_db
         self.tag = tag
-        rng = ensure_rng(seed)
-        self._speakers = [
-            Speaker(
-                speaker_id=i,
-                offset=rng.normal(0.0, speaker_scale, size=feature_dim),
-                rate=float(np.clip(rng.normal(1.0, 0.12), 0.6, 1.6)),
-            )
-            for i in range(n_speakers)
-        ]
-        n_channels = max(4, n_speakers // 10)
-        self._channels = [
-            Channel(
-                channel_id=i,
-                tilt=rng.normal(0.0, channel_scale, size=feature_dim)
-                * np.linspace(1.0, 0.3, feature_dim),
-                gain=float(np.clip(rng.normal(1.0, 0.08), 0.7, 1.4)),
-            )
-            for i in range(n_channels)
-        ]
+        self.seed = seed
+        self._pool: tuple[list[Speaker], list[Channel]] | None = None
+
+    def _draw_pool(self) -> tuple[list[Speaker], list[Channel]]:
+        """The speaker and channel pools, drawn from ``seed`` on first use.
+
+        Only sampling reads them, so a corpus bundle whose utterances are
+        never sampled never draws them.  The draw is a pure function of
+        the constructor arguments: two threads racing here build equal
+        pools, and either one may win.
+        """
+        pool = self._pool
+        if pool is None:
+            rng = ensure_rng(self.seed)
+            dim = self.feature_dim
+            speakers = [
+                Speaker(
+                    speaker_id=i,
+                    offset=rng.normal(0.0, self.speaker_scale, size=dim),
+                    rate=float(np.clip(rng.normal(1.0, 0.12), 0.6, 1.6)),
+                )
+                for i in range(self.n_speakers)
+            ]
+            n_channels = max(4, self.n_speakers // 10)
+            channels = [
+                Channel(
+                    channel_id=i,
+                    tilt=rng.normal(0.0, self.channel_scale, size=dim)
+                    * np.linspace(1.0, 0.3, dim),
+                    gain=float(np.clip(rng.normal(1.0, 0.08), 0.7, 1.4)),
+                )
+                for i in range(n_channels)
+            ]
+            pool = self._pool = (speakers, channels)
+        return pool
 
     def sample(self, rng: np.random.Generator | int | None) -> Session:
         """Draw one session (speaker × channel × SNR)."""
         rng = ensure_rng(rng)
-        speaker = self._speakers[int(rng.integers(len(self._speakers)))]
-        channel = self._channels[int(rng.integers(len(self._channels)))]
+        speakers, channels = self._draw_pool()
+        speaker = speakers[int(rng.integers(len(speakers)))]
+        channel = channels[int(rng.integers(len(channels)))]
         snr = float(rng.normal(self.snr_mean_db, self.snr_spread_db))
         return Session(speaker=speaker, channel=channel, snr_db=max(snr, 0.0))

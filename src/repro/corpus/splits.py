@@ -8,6 +8,13 @@ configurable scale: one balanced training corpus (train-condition
 sessions), one development corpus, and one test corpus per nominal
 duration (test-condition sessions, sampled wider than training — the
 mismatch DBA exploits).
+
+Only the world is built eagerly: phone set, language registry and
+acoustic space, which frontend construction and the store open need.
+The corpora hold their sampling plans and sample utterances on first
+read (:class:`~repro.corpus.generator.Corpus`), and the session
+samplers draw their speaker/channel pools on first use, so a run whose
+stages all come from the artifact store samples no utterance.
 """
 
 from __future__ import annotations
@@ -80,6 +87,9 @@ class CorpusBundle:
         Balanced corpora at ``config.train_duration``.
     test:
         One balanced test corpus per nominal duration.
+
+    The corpora are planned, not sampled: their labels and lengths are
+    known at once, their utterances are sampled when first read.
     """
 
     config: CorpusConfig
@@ -97,7 +107,11 @@ class CorpusBundle:
 
 
 def make_corpus_bundle(config: CorpusConfig | None = None) -> CorpusBundle:
-    """Generate a full train/dev/test bundle from ``config`` (deterministic)."""
+    """Plan a full train/dev/test bundle from ``config`` (deterministic).
+
+    Utterances are sampled lazily, each from its own seeded stream, so
+    the content does not depend on when (or whether) a corpus is read.
+    """
     config = config or CorpusConfig()
     universal = universal_phone_set()
     registry = LanguageRegistry(

@@ -150,6 +150,10 @@ def run_stage(
     store hit.  A stage the board has poisoned raises
     :class:`repro.faults.PoisonedStageError` from the claim attempt,
     which failure-collection mode records like any other stage error.
+
+    ``meta`` is read when the product is put, so ``compute`` may add
+    provenance it only learns while running (the ``phi`` stage records
+    its corpus's audio seconds this way).
     """
     registry = default_registry()
     plan = ambient_plan()
@@ -203,7 +207,6 @@ def run_stage(
             value = load_cached()
             if value is not _MISS:
                 return value
-        meta = {**(meta or {}), "worker": claims.worker_id}
 
     def attempt() -> Any:
         for target in fault_targets:
@@ -229,7 +232,11 @@ def run_stage(
                     key,
                     kind,
                     encode(value) if encode is not None else value,
-                    meta=meta,
+                    meta=(
+                        {**(meta or {}), "worker": claims.worker_id}
+                        if claimed
+                        else meta
+                    ),
                 ),
                 "put",
             )

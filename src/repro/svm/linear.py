@@ -124,7 +124,11 @@ class LinearSVC:
                 val = row_val[i]
                 y_i = y_list[i]
                 a_i = alpha_list[i]
-                margin = float(w[idx] @ val) + bias_scale * b
+                # One gather per step: the margin and the update share
+                # ``g``.  ``w[idx] += u`` is itself gather, add, scatter,
+                # so writing ``g`` back changes no bit of the result.
+                g = w[idx]
+                margin = float(g.dot(val)) + bias_scale * b
                 grad = y_i * margin - 1.0 + diag_add * a_i
                 # Projected gradient for the box constraint.
                 if a_i <= 0.0:
@@ -138,7 +142,8 @@ class LinearSVC:
                     new_alpha = min(max(a_i - grad / q_list[i], 0.0), upper)
                     delta = (new_alpha - a_i) * y_i
                     if delta != 0.0:
-                        w[idx] += delta * val
+                        g += delta * val
+                        w[idx] = g
                         b += delta * bias_scale
                         alpha_list[i] = new_alpha
             self.n_epochs_ = epoch + 1

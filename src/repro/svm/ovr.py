@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import trace
 from repro.svm.linear import LinearSVC
 from repro.utils.sparse import SparseMatrix
 from repro.utils.validation import check_positive
@@ -54,6 +55,10 @@ class OneVsRestSVM:
         everything, i.e. all -1 plus no positives is degenerate, so such a
         class yields a constant negative scorer — flagged by a warning-free
         fallback of an untrained weight of zeros with bias -1).
+
+        Under an active trace each real binary fit is one ``svm.fit``
+        span carrying its class (``target``), row count and the epochs
+        it ran (``n_epochs``).
         """
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (x.n_rows,):
@@ -70,7 +75,9 @@ class OneVsRestSVM:
                 model.bias_ = -1.0 if np.all(y == -1.0) else 1.0
                 model.alpha_ = np.zeros(x.n_rows)
             else:
-                model.fit(x, y)
+                with trace.span("svm.fit", target=k, rows=x.n_rows) as sp:
+                    model.fit(x, y)
+                    sp.set_attrs(n_epochs=model.n_epochs_)
             self.models_.append(model)
         return self
 

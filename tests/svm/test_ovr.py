@@ -115,3 +115,52 @@ class TestVSM:
         sausages, labels = self._sausages_and_labels(n_per=5)
         vsm = VSM(6, 2, orders=(1,)).fit(sausages, labels)
         assert vsm.score(sausages).shape == (10, 2)
+
+
+class TestFitSpans:
+    """One ``svm.fit`` span per one-vs-rest binary fit."""
+
+    def test_one_span_per_class_with_epochs(self, three_blobs):
+        from repro.obs import trace
+
+        x, labels = three_blobs
+        trace.stop_trace()
+        trace.start_trace("svm")
+        try:
+            with trace.span("svm_training"):
+                ovr = OneVsRestSVM(3, max_epochs=25, seed=4).fit(x, labels)
+        finally:
+            root = trace.stop_trace()
+        (training,) = root.children
+        fits = training.children
+        assert [sp.name for sp in fits] == ["svm.fit"] * 3
+        for k, (sp, model) in enumerate(zip(fits, ovr.models_)):
+            assert sp.attrs == {
+                "target": k,
+                "rows": x.n_rows,
+                "n_epochs": model.n_epochs_,
+            }
+            assert 1 <= sp.attrs["n_epochs"] <= 25
+            assert sp.children == []
+
+    def test_degenerate_class_opens_no_span(self, three_blobs):
+        from repro.obs import trace
+
+        x, labels = three_blobs
+        trace.stop_trace()
+        trace.start_trace("svm")
+        try:
+            # Class 3 has no rows: a constant scorer, not a fit.
+            OneVsRestSVM(4, max_epochs=5).fit(x, labels)
+        finally:
+            root = trace.stop_trace()
+        assert [sp.attrs["target"] for sp in root.children] == [0, 1, 2]
+
+    def test_untraced_fit_records_nothing(self, three_blobs):
+        from repro.obs import trace
+
+        x, labels = three_blobs
+        trace.stop_trace()
+        assert trace.span("svm.fit") is trace.NULL_SPAN
+        OneVsRestSVM(3, max_epochs=5).fit(x, labels)
+        assert trace.get_tracer() is None
