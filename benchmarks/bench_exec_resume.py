@@ -18,7 +18,7 @@ the store) and asserts:
 
 A second gate targets the *cold* pass itself: the batched decode +
 sparse-φ fast path must beat the seed reference implementations
-(selected with ``REPRO_PHI_REFERENCE=1``) by at least 5x on a cold
+(``tests/oracles/phi.py``, patched in for one pass) by at least 5x on a cold
 campaign, while regenerating bitwise-identical tables — the fast path
 is pure speed, never a numbers change.
 
@@ -39,6 +39,7 @@ from _tables import tables_match
 from repro.core import bench_scale, build_system, run_campaign, smoke_scale
 from repro.exec import ArtifactStore
 from repro.obs.metrics import default_registry
+from tests.oracles.phi import use_reference_phi
 
 #: Sweep a single variant/threshold pair: resume economics are per-stage,
 #: so a minimal grid measures the same mechanism in a fraction of the time.
@@ -116,10 +117,11 @@ def test_cold_campaign_fast_vs_reference(
 ):
     """Batched decode + sparse φ must be >= 5x faster than the seed path.
 
-    ``REPRO_PHI_REFERENCE=1`` selects the original per-slot/per-window
-    reference implementations throughout the φ pipeline (confusion
-    decode, expected-count accumulation, supervector assembly, TFLLR
-    scaling) — the seed decode path this PR replaced.  Both passes run
+    :func:`tests.oracles.phi.use_reference_phi` patches the original
+    per-slot/per-window reference implementations in throughout the φ
+    pipeline (confusion decode, expected-count accumulation, supervector
+    assembly, TFLLR scaling) — the seed decode path the fast path
+    replaced.  Both passes run
     *cold* against their own store, so the comparison is pure compute,
     not cache economics.  The fast path is contractually bitwise in
     float64, so the regenerated tables must be identical — checked with
@@ -135,9 +137,7 @@ def test_cold_campaign_fast_vs_reference(
 
     def run_cold(tag: str, reference: bool) -> tuple[float, object, float]:
         if reference:
-            monkeypatch.setenv("REPRO_PHI_REFERENCE", "1")
-        else:
-            monkeypatch.delenv("REPRO_PHI_REFERENCE", raising=False)
+            use_reference_phi(monkeypatch)
         registry.reset()
         system = build_system(
             campaign_config,

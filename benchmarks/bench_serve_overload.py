@@ -5,7 +5,7 @@ stalled frontend (or a dead batcher) silently wedged every subsequent
 request.  This bench drives the hardened server into exactly that
 regime and asserts the new contract:
 
-- one frontend is stalled via the :mod:`repro.serve.faults` hook, so
+- one frontend is stalled via the :mod:`repro.faults` hook, so
   every batch takes far longer than the request deadline;
 - a saturating client fleet hits ``/score`` concurrently against a
   deliberately tiny admission queue;
@@ -37,7 +37,7 @@ from repro.serve import (
     make_server,
     utterance_to_json,
 )
-from repro.serve.faults import FaultPlan
+from repro.faults import FaultPlan
 
 #: Concurrent clients and sequential requests per client.
 FLEET = 6

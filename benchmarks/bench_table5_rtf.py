@@ -7,8 +7,9 @@ negligible against decoding, so C_DBA / C_baseline ≈ 1.
 
 This bench times the three stages directly with pytest-benchmark on a
 fixed utterance batch, prints the Table 5 layout, and checks the Eq. 19
-ratio from the lab's stage-timer ledger.  Absolute values depend on the
-host and the reduced frame rate; the *relative* structure is the claim.
+ratio through a :class:`CostLedger` over one timed pass.  Absolute values
+depend on the host and the reduced frame rate; the *relative* structure
+is the claim.
 """
 
 from __future__ import annotations

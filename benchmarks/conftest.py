@@ -27,7 +27,6 @@ from repro.core import (
     build_system,
     smoke_scale,
 )
-from repro.utils.timing import StageTimer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -39,8 +38,7 @@ class BenchLab:
         scale = os.environ.get("REPRO_BENCH_SCALE", "bench")
         config = smoke_scale() if scale == "smoke" else bench_scale()
         self.config = config
-        self.timer = StageTimer()
-        self.system: PhonotacticSystem = build_system(config, timer=self.timer)
+        self.system: PhonotacticSystem = build_system(config)
         self._baseline = None
         self._dba: dict[tuple[int, str], DBAResult] = {}
 

@@ -33,9 +33,11 @@ products, a re-run with an unchanged config executes zero decode work,
 and independent per-frontend stages fan out over a thread pool (a layer
 above the utterance-level :func:`~repro.utils.parallel.pmap`).
 
-Every stage is timed under a :class:`~repro.utils.timing.StageTimer` with
-the stage names of Table 5 (decoding / sv_generation / svm_training /
-sv_product).
+Every stage opens a :mod:`repro.obs.trace` span named after its Table 5
+stage (decoding / sv_generation / svm_training / sv_product), carrying
+the processed speech as an ``audio_s`` counter;
+:func:`repro.obs.runlog.aggregate_stages` rolls them up into real-time
+factors.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from repro.svm.vsm import VSM
 from repro.utils.parallel import effective_workers, pmap
 from repro.utils.rng import child_rng
 from repro.utils.sparse import SparseMatrix
-from repro.utils.timing import StageTimer
 
 __all__ = [
     "SubsystemScores",
@@ -250,13 +251,9 @@ class PhonotacticSystem:
 
     Parameters
     ----------
-    bundle / frontends / system / timer:
-        As before: the corpus bundle, recognizer battery, classifier
-        stack configuration and Table 5 stage timer.
-    matrix_cache:
-        Legacy :class:`repro.utils.io.MatrixCache` persisting only the
-        supervector matrices; superseded by ``store`` but still honoured
-        (consulted before decoding, and written through on compute).
+    bundle / frontends / system:
+        The corpus bundle, recognizer battery and classifier stack
+        configuration.
     store:
         Optional :class:`~repro.exec.store.ArtifactStore`.  When given,
         every stage product — φ(x) matrices, fitted VSM states, score
@@ -302,8 +299,6 @@ class PhonotacticSystem:
         frontends: list,
         system: SystemConfig | None = None,
         *,
-        timer: StageTimer | None = None,
-        matrix_cache=None,
         store: ArtifactStore | None = None,
         fingerprint: str | None = None,
         retry: RetryPolicy | None = None,
@@ -321,7 +316,6 @@ class PhonotacticSystem:
         self.bundle = bundle
         self.frontends = list(frontends)
         self.system = system or SystemConfig()
-        self.timer = timer or StageTimer()
         names = [fe.name for fe in self.frontends]
         if len(set(names)) != len(names):
             raise ValueError("frontend names must be unique")
@@ -331,9 +325,6 @@ class PhonotacticSystem:
         self._matrices: dict[tuple[str, str], SparseMatrix] = {}
         #: fitted LDA-MMI backends: key -> (dev arrays, weights, fit)
         self._fusions: dict[tuple, tuple] = {}
-        #: optional repro.utils.io.MatrixCache persisting supervectors
-        #: across processes (the φ(x) work of Eqs. 16-19)
-        self.matrix_cache = matrix_cache
         #: optional repro.exec.store.ArtifactStore persisting all stage
         #: products (resumable campaigns)
         self.store = store
@@ -437,10 +428,10 @@ class PhonotacticSystem:
         """Decode + extract the raw supervector matrix (the ``phi`` stage).
 
         Results are cached in memory per (frontend, tag); with a
-        ``store`` (or the legacy ``matrix_cache``) configured, matrices
-        also persist to disk and are reloaded on subsequent runs.
-        Thread-safe: per-key locks let the stage graph decode different
-        (frontend, corpus) pairs concurrently without duplicating work.
+        ``store`` configured, matrices also persist to disk and are
+        reloaded on subsequent runs.  Thread-safe: per-key locks let the
+        stage graph decode different (frontend, corpus) pairs
+        concurrently without duplicating work.
         """
         mkey = (frontend.name, tag)
         with self._cache_lock:
@@ -492,7 +483,7 @@ class PhonotacticSystem:
         )
 
     def _audio_seconds(self, frontend, tag: str) -> float:
-        """Audio seconds of a corpus tag, for the Table 5 RTF timers.
+        """Audio seconds of a corpus tag, for the Table 5 RTF spans.
 
         The φ stage records them in its store entry's ``meta``, so a
         stage downstream of a φ hit (a threshold change rescoring the
@@ -516,10 +507,6 @@ class PhonotacticSystem:
 
         ``meta`` (the stage's store metadata) gains ``audio_s``.
         """
-        if self.matrix_cache is not None and self.matrix_cache.has(
-            frontend.name, tag
-        ):
-            return self.matrix_cache.get(frontend.name, tag)
         corpus = self.corpus_for(tag)
         seed = self.system.seed
         audio = corpus.total_audio_seconds()
@@ -552,7 +539,7 @@ class PhonotacticSystem:
         )
         with trace.span("phi", frontend=frontend.name, corpus=tag) as sp:
             sp.inc("utterances", len(corpus))
-            with self.timer.stage("decoding", audio_seconds=audio):
+            with trace.span("decoding").inc("audio_s", audio):
                 if batch:
                     workers = effective_workers(self.system.workers)
                     utts = corpus.utterances
@@ -595,10 +582,8 @@ class PhonotacticSystem:
                 self.n_classes,
                 orders=self.system.orders,
             )
-            with self.timer.stage("sv_generation", audio_seconds=audio):
+            with trace.span("sv_generation").inc("audio_s", audio):
                 matrix = extractor.extract(sausages)
-        if self.matrix_cache is not None:
-            self.matrix_cache.put(frontend.name, tag, matrix)
         return matrix
 
     def pooled_test_matrix(self, frontend) -> SparseMatrix:
@@ -729,7 +714,7 @@ class PhonotacticSystem:
                 if tag == "dev":
                     return vsm.score_matrix(raw)
                 audio = self._audio_seconds(frontend, tag)
-                with self.timer.stage("sv_product", audio_seconds=audio):
+                with trace.span("sv_product").inc("audio_s", audio):
                     return vsm.score_matrix(raw)
 
             name = f"score/{frontend.name}/{model_id}/{tag}"
@@ -809,7 +794,7 @@ class PhonotacticSystem:
 
             def fit(deps, frontend=frontend, q=q, phi_train=phi_train) -> VSM:
                 vsm = self._make_vsm(frontend, q)
-                with self.timer.stage("svm_training"):
+                with trace.span("svm_training"):
                     vsm.fit_matrix(deps[phi_train], y_train)
                 return vsm
 
@@ -939,7 +924,7 @@ class PhonotacticSystem:
                         variant, deps[phi_train], y_train, pooled, pseudo
                     )
                     vsm = self._make_vsm(frontend, 100 + q)
-                    with self.timer.stage("svm_training"):
+                    with trace.span("svm_training"):
                         vsm.fit_matrix(x_dba, y_dba)
                     return vsm
 
@@ -1213,9 +1198,7 @@ class PhonotacticSystem:
 def build_system(
     config: ExperimentConfig | None = None,
     *,
-    timer: StageTimer | None = None,
     store: ArtifactStore | str | None = None,
-    matrix_cache=None,
     retry: RetryPolicy | None = None,
     on_error: str = "fail",
     max_quarantine_fraction: float = 0.1,
@@ -1225,9 +1208,7 @@ def build_system(
 
     ``store`` (an :class:`~repro.exec.store.ArtifactStore` or a
     directory path to open one at) attaches persistent stage memoization
-    keyed by the config's fingerprint; ``matrix_cache`` wires the legacy
-    supervector-only :class:`repro.utils.io.MatrixCache` for callers not
-    yet migrated to the store.  ``retry`` / ``on_error`` /
+    keyed by the config's fingerprint.  ``retry`` / ``on_error`` /
     ``max_quarantine_fraction`` configure the fault-tolerance ladder
     (see :class:`PhonotacticSystem`); ``claims`` attaches a
     :class:`repro.dist.LeaseBoard` so store-keyed stages are claimed
@@ -1246,8 +1227,6 @@ def build_system(
         bundle,
         frontends,
         config.system,
-        timer=timer,
-        matrix_cache=matrix_cache,
         store=store,
         fingerprint=config_fingerprint(config),
         retry=retry,

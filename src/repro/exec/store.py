@@ -1,12 +1,11 @@
 """Content-addressed persistence for pipeline stage products.
 
-The :class:`ArtifactStore` generalizes :class:`repro.utils.io.MatrixCache`
-from "supervector matrices keyed by (frontend, tag)" to *every* stage
-product the pipeline produces — raw φ(x) supervector matrices, fitted
-:class:`~repro.svm.vsm.VSM` state dicts, dense score matrices, vote/
-pseudo-label selections and fused score vectors.  Keys are
-content-addressed: :func:`stage_key` hashes the experiment config
-fingerprint (the same
+The :class:`ArtifactStore` is the one persistent cache of the batch
+stack: it holds *every* stage product the pipeline produces — raw φ(x)
+supervector matrices, fitted :class:`~repro.svm.vsm.VSM` state dicts,
+dense score matrices, vote/pseudo-label selections and fused score
+vectors.  Keys are content-addressed: :func:`stage_key` hashes the
+experiment config fingerprint (the same
 :func:`repro.serve.artifacts.config_fingerprint` the serving artifacts
 pin), the frontend name, the corpus tag and the free-form stage
 parameters, so two runs agree on a key exactly when they would compute

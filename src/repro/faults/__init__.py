@@ -4,9 +4,8 @@
 system survive real failures:
 
 - :mod:`repro.faults.injection` — the ``REPRO_FAULTS`` fault-injection
-  hook (:class:`FaultPlan`, :class:`InjectedFault`), promoted out of
-  ``repro.serve.faults`` so the batch stack can use it too.  The old
-  import path remains as a deprecated shim.
+  hook (:class:`FaultPlan`, :class:`InjectedFault`), shared by the
+  serving engine and the batch stack.
 - :mod:`repro.faults.retry` — :class:`RetryPolicy`, bounded
   exponential-backoff retry with deterministic jitter and
   retryable-exception classification, applied by

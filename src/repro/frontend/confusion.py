@@ -26,7 +26,6 @@ of the two paths at small scale is covered by integration tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from repro.corpus.acoustics import AcousticSpace
 from repro.corpus.generator import Utterance
 from repro.corpus.phoneset import PhoneSet, sample_inventory
-from repro.frontend.lattice import Sausage, SausageSlot
+from repro.frontend.lattice import Sausage
 from repro.utils.rng import child_rng, ensure_rng
 from repro.utils.validation import check_positive, check_probability
 
@@ -207,13 +206,10 @@ class ConfusionChannelRecognizer:
         acoustic variability.
 
         All slots are built in one batch of whole-array operations that
-        consume the identical RNG bitstream as the per-slot reference
-        loop (:meth:`_decode_reference`, kept selectable with
-        ``REPRO_PHI_REFERENCE=1`` and tested bitwise-equal), so tables
-        are unchanged while decode drops off the campaign profile.
+        consume the identical RNG bitstream as a per-slot loop (the
+        oracle in ``tests/oracles/phi.py``, tested bitwise-equal), so
+        tables are unchanged while decode drops off the campaign profile.
         """
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return self._decode_reference(utterance, rng)
         rng = ensure_rng(
             rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
         )
@@ -244,11 +240,6 @@ class ConfusionChannelRecognizer:
             ]
         if len(rngs) != len(utterances):
             raise ValueError("rngs must match utterances in length")
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return [
-                self._decode_reference(u, r)
-                for u, r in zip(utterances, rngs)
-            ]
         noisies = [
             self._jittered_slots(u, ensure_rng(r))
             for u, r in zip(utterances, rngs)
@@ -339,45 +330,3 @@ class ConfusionChannelRecognizer:
         slot_phones = np.take_along_axis(top, order, axis=1)
         slot_probs = np.take_along_axis(top_probs, order, axis=1)
         return slot_phones, slot_probs
-
-    def _decode_reference(
-        self, utterance: Utterance, rng: np.random.Generator | int | None = None
-    ) -> Sausage:
-        """The original per-slot decode loop (bitwise oracle for tests)."""
-        rng = ensure_rng(
-            rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
-        )
-        m = self.model
-        err = self._session_error(utterance)
-        phones = utterance.phones
-        n_local = len(self.phone_set)
-        del_rate = min(0.9, m.deletion_rate * (1.0 + 2.0 * err))
-        ins_rate = min(0.9, m.insertion_rate * (1.0 + 2.0 * err))
-        keep = rng.random(phones.size) >= del_rate
-        kept = phones[keep]
-        slots_universal: list[int | None] = []
-        for p in kept:
-            slots_universal.append(int(p))
-            if rng.random() < ins_rate:
-                slots_universal.append(None)  # a spurious slot
-        if not slots_universal:
-            slots_universal = [int(phones[0])] if phones.size else []
-        uniform = np.full(n_local, 1.0 / n_local)
-        slots: list[SausageSlot] = []
-        projection = self.session_projection(utterance.session)
-        jitter_conc = 60.0 * (1.0 - err) + 4.0
-        for u in slots_universal:
-            if u is None:
-                base = uniform.copy()
-            else:
-                base = projection[u]
-            probs = (1.0 - err) * base + err * uniform
-            noisy = rng.gamma(np.maximum(probs * jitter_conc, 1e-3))
-            total = noisy.sum()
-            probs = noisy / total if total > 0 else uniform
-            top = np.argsort(probs)[::-1][: m.top_k]
-            top_probs = probs[top]
-            top_probs /= top_probs.sum()
-            order = np.argsort(top)
-            slots.append(SausageSlot(top[order].astype(np.int64), top_probs[order]))
-        return Sausage(slots, self.phone_set)

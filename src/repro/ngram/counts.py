@@ -23,8 +23,6 @@ a vectorized scatter.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.frontend.lattice import Lattice, Sausage
@@ -77,12 +75,8 @@ def expected_counts_sausage(
     count of (p_1,…,p_n) starting at slot i is simply
     ``prod_j P(slot_{i+j} = p_j)``.
 
-    Dispatches to the vectorized :func:`expected_count_arrays`; setting
-    ``REPRO_PHI_REFERENCE=1`` selects the original per-window loop (the
-    bitwise oracle the fast path is tested against).
+    A dict view of the vectorized :func:`expected_count_arrays`.
     """
-    if os.environ.get("REPRO_PHI_REFERENCE"):
-        return _expected_counts_sausage_reference(sausage, order)
     codes, sums = expected_count_arrays(sausage, order)
     return dict(zip(codes.tolist(), sums.tolist()))
 
@@ -95,8 +89,9 @@ def expected_count_arrays(
     Works on the sausage's padded ``(T, K)`` slot arrays: every window's
     outer product over alternatives is one broadcast, padded combinations
     are masked out, and a single ``np.unique``/``np.add.at`` pass
-    aggregates — accumulation order matches the per-window reference
-    loop exactly, so the sums are bitwise identical.
+    aggregates — accumulation order matches a per-window outer-product
+    loop (the oracle in ``tests/oracles/phi.py``) exactly, so the sums
+    are bitwise identical.
     """
     check_positive("order", order)
     n_phones = len(sausage.phone_set)
@@ -139,38 +134,6 @@ def expected_count_arrays(
     sums = np.zeros(uniq.size, dtype=np.float64)
     np.add.at(sums, inverse, flat_probs)
     return uniq, sums
-
-
-def _expected_counts_sausage_reference(
-    sausage: Sausage, order: int
-) -> dict[int, float]:
-    """The original per-window outer-product loop (bitwise oracle)."""
-    check_positive("order", order)
-    n_phones = len(sausage.phone_set)
-    slots = sausage.slots
-    t = len(slots)
-    if t < order:
-        return {}
-    all_codes: list[np.ndarray] = []
-    all_probs: list[np.ndarray] = []
-    for i in range(t - order + 1):
-        # Outer product over the window's alternatives: codes and probs.
-        codes = slots[i].phones.astype(np.int64)
-        probs = slots[i].probs
-        for j in range(1, order):
-            nxt = slots[i + j]
-            codes = (codes[:, None] * n_phones + nxt.phones[None, :]).ravel()
-            probs = (probs[:, None] * nxt.probs[None, :]).ravel()
-        all_codes.append(codes)
-        all_probs.append(probs)
-    # One aggregation pass over all windows (much cheaper than per-item
-    # dict updates at top_k^order entries per window).
-    codes = np.concatenate(all_codes)
-    probs = np.concatenate(all_probs)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    sums = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(sums, inverse, probs)
-    return dict(zip(uniq.tolist(), sums.tolist()))
 
 
 def expected_counts_lattice(

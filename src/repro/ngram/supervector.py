@@ -18,13 +18,12 @@ recognizer inventory size) and is indexed by the base-``f`` n-gram code.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.frontend.lattice import Sausage
-from repro.ngram.counts import expected_count_arrays, expected_counts_sausage
+from repro.ngram.counts import expected_count_arrays
 from repro.obs.metrics import default_registry
 from repro.utils.sparse import SparseMatrix, SparseVector
 from repro.utils.validation import check_positive
@@ -98,15 +97,13 @@ class SupervectorExtractor:
         (code, sum) arrays, are normalized within the block, offset, and
         concatenated — the ``f^n``-dimensional blocks are never
         densified and no intermediate dict is built.  The per-block
-        totals are sequential (``cumsum``) sums, matching the reference
-        dict path bitwise.
+        totals are sequential (``cumsum``) sums, matching the dict-based
+        oracle in ``tests/oracles/phi.py`` bitwise.
         """
         if len(sausage.phone_set) != self.layout.n_phones:
             raise ValueError(
                 "sausage phone set does not match extractor inventory"
             )
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return self._extract_reference(sausage)
         index_parts: list[np.ndarray] = []
         value_parts: list[np.ndarray] = []
         for order, offset in zip(self.layout.orders, self.layout.offsets):
@@ -127,21 +124,6 @@ class SupervectorExtractor:
         _EXTRACTED.inc()
         _NNZ.observe(float(indices.size))
         return SparseVector(self.layout.dim, indices, values)
-
-    def _extract_reference(self, sausage: Sausage) -> SparseVector:
-        """The original dict-based extraction (bitwise oracle)."""
-        items: dict[int, float] = {}
-        for order, offset in zip(self.layout.orders, self.layout.offsets):
-            counts = expected_counts_sausage(sausage, order)
-            total = sum(counts.values())
-            if total <= 0.0:
-                continue
-            inv_total = 1.0 / total
-            for code, value in counts.items():
-                items[offset + code] = value * inv_total
-        _EXTRACTED.inc()
-        _NNZ.observe(float(len(items)))
-        return SparseVector.from_dict(self.layout.dim, items)
 
     def extract_matrix(self, sausages: list[Sausage]) -> SparseMatrix:
         """Stack supervectors for a batch of sausages."""
@@ -165,9 +147,9 @@ class TFLLRScaler:
     floor maps to the constant :math:`1/\sqrt{p_{min}}`.  The fitted state
     is therefore ``O(nnz)`` instead of ``O(f^N)``, and :meth:`transform`
     never materialises a dense ``dim``-length vector.  The per-column
-    sums accumulate entries in the same order as the dense
-    ``column_sums`` path, so the scales are bitwise identical; the dense
-    path remains selectable with ``REPRO_PHI_REFERENCE=1``.
+    sums accumulate entries in the same order as a dense ``np.add.at``
+    over all columns (the oracle in ``tests/oracles/phi.py``), so the
+    scales are bitwise identical.
     """
 
     def __init__(self, min_prob: float = 1e-5) -> None:
@@ -186,37 +168,7 @@ class TFLLRScaler:
         """Scale of every column unseen in training (floored at min_prob)."""
         return float(1.0 / np.sqrt(self.min_prob))
 
-    @property
-    def scale_(self) -> np.ndarray | None:
-        """Dense view of the fitted scaling (debug/legacy; ``O(dim)``)."""
-        if self.scale_indices_ is None or self.dim_ is None:
-            return None
-        out = np.full(self.dim_, self.default_scale, dtype=np.float64)
-        out[self.scale_indices_] = self.scale_values_
-        return out
-
-    @scale_.setter
-    def scale_(self, dense: np.ndarray | None) -> None:
-        """Adopt a dense scaling (legacy artifacts); stored sparsely.
-
-        Columns whose scale equals the unseen-column default are not
-        stored — :meth:`transform` output is unchanged bitwise, and the
-        :attr:`scale_` getter reconstructs the identical dense vector.
-        """
-        if dense is None:
-            self.dim_ = None
-            self.scale_indices_ = None
-            self.scale_values_ = None
-            return
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 1:
-            raise ValueError("dense scale must be 1-D")
-        observed = np.nonzero(dense != self.default_scale)[0]
-        self.dim_ = int(dense.shape[0])
-        self.scale_indices_ = observed.astype(np.int64)
-        self.scale_values_ = dense[observed]
-
-    def load_sparse_scale(
+    def load_scale(
         self, dim: int, indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Restore a fitted scaling from its sparse persisted form."""
@@ -240,14 +192,10 @@ class TFLLRScaler:
         """Estimate the per-component scaling from training supervectors."""
         if train.n_rows == 0:
             raise ValueError("cannot fit TFLLR scaling on an empty matrix")
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            p_all = train.column_sums() / train.n_rows
-            self.scale_ = 1.0 / np.sqrt(np.maximum(p_all, self.min_prob))
-            return self
         cols, inverse = np.unique(train.indices, return_inverse=True)
         sums = np.zeros(cols.size, dtype=np.float64)
-        # Entry order matches column_sums()' np.add.at accumulation, so
-        # each column's sum is bitwise equal to the dense path.
+        # Entry order matches a dense np.add.at over every column, so
+        # each column's sum is bitwise equal to the dense oracle.
         np.add.at(sums, inverse, train.values)
         p_observed = sums / train.n_rows
         self.dim_ = train.dim
@@ -263,8 +211,6 @@ class TFLLRScaler:
             raise RuntimeError("TFLLRScaler is not fitted")
         if x.dim != self.dim_:
             raise ValueError("dimension mismatch with fitted scaling")
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return x.scale_columns(self.scale_)
         if self.dim_ <= 1 << 22:
             # Dense per-column lookup: O(dim) to build, then one fancy
             # gather — same values as the searchsorted mapping below but

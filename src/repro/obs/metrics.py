@@ -179,6 +179,12 @@ class Histogram:
         with self._lock:
             return self._count
 
+    @property
+    def total(self) -> float:
+        """Sum of every observation ever recorded."""
+        with self._lock:
+            return self._total
+
     def quantile(self, q: float) -> float | None:
         """The ``q``-th percentile (0–100) of the retained reservoir.
 

@@ -95,9 +95,10 @@ def aggregate_stages(records: list[dict]) -> dict[str, dict[str, Any]]:
 
     This is the manifest's ``stages`` table — a flat per-stage-name
     account that answers "where did the run spend its time" without
-    reading the span tree.  The ``audio_s`` counter (recorded by
-    :class:`repro.utils.timing.StageTimer`) is summed when present so
-    real-time factors can be recomputed from the manifest alone.
+    reading the span tree.  The ``audio_s`` counter (recorded by the
+    pipeline's and the scoring engine's Table 5 stage spans) is summed
+    when present so real-time factors can be recomputed from the
+    manifest alone.
     """
     stages: dict[str, dict[str, Any]] = {}
     for rec in records:

@@ -15,9 +15,11 @@ service:
 - :mod:`repro.serve.server` — a stdlib-only JSON HTTP API
   (``/score``, ``/healthz``, ``/stats``) with backpressure (429) and
   deadline (503) semantics;
-- :mod:`repro.serve.faults` — fault injection (``REPRO_FAULTS``) used
-  to exercise the overload/partial-failure contract in tests and
-  benchmarks.
+
+Fault injection (``REPRO_FAULTS``, used to exercise the
+overload/partial-failure contract in tests and benchmarks) lives in
+:mod:`repro.faults`; :class:`FaultPlan` and :class:`InjectedFault` are
+re-exported here.
 
 The engine is supervised and admission-controlled: the batcher thread
 restarts on unexpected exceptions, the queue is bounded
@@ -61,7 +63,7 @@ from repro.serve.engine import (
     QueueFullError,
     ScoringEngine,
 )
-from repro.serve.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan, InjectedFault
 from repro.serve.protocol import (
     utterance_digest,
     utterance_from_json,

@@ -11,10 +11,8 @@ decode, φ(x) and the SVM product entirely; only the (cheap) calibration
 backend reruns, so calibration stays consistent however the batch is
 composed.
 
-Eviction policy is shared with the disk-backed
-:class:`repro.utils.io.MatrixCache` through
-:class:`repro.utils.lru.LruTracker`.  All methods are thread-safe — the
-HTTP server scores from multiple threads.
+Recency bookkeeping is :class:`repro.utils.lru.LruTracker`.  All
+methods are thread-safe — the HTTP server scores from multiple threads.
 
 Hit/miss accounting lives in :mod:`repro.obs.metrics` counters
 (``serve.cache.hits`` / ``serve.cache.misses``); by default each cache

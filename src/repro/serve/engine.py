@@ -55,9 +55,12 @@ renormalised over the survivors; such responses are flagged degraded
 and their partial score stacks are **not** cached, so recovery restores
 bitwise-identical output.
 
-Per-stage wall-clock accounting uses the Table 5 stage names
-(``decoding`` / ``sv_generation`` / ``sv_product`` plus ``fusion``).
-All counters and latency reservoirs live in a
+Each stage of a scoring pass opens a :mod:`repro.obs.trace` span named
+after its Table 5 stage (``decoding`` / ``sv_generation`` /
+``sv_product`` plus ``fusion``) and feeds a
+``serve.stage.<name>.seconds`` histogram, whose count and total are the
+per-stage calls and elapsed seconds :meth:`ScoringEngine.stats`
+reports.  All counters and latency reservoirs live in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``serve.*`` namespace);
 :meth:`ScoringEngine.stats` snapshots them in the historical key layout
 and additionally exposes the raw registry snapshot under ``"metrics"``.
@@ -75,7 +78,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.backend.fusion import subsystem_weights
 from repro.corpus.generator import Utterance
+from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import TrainedSystem
 from repro.serve.cache import ScoreCache
@@ -83,7 +88,6 @@ from repro.faults.injection import FaultPlan
 from repro.serve.protocol import utterance_digest
 from repro.utils.parallel import effective_workers, pmap
 from repro.utils.rng import child_rng
-from repro.utils.timing import StageTimer
 
 __all__ = [
     "ScoringEngine",
@@ -228,7 +232,7 @@ class ScoringEngine:
     breaker_cooldown:
         Seconds an open breaker waits before admitting a probe batch.
     faults:
-        A :class:`~repro.serve.faults.FaultPlan` for fault injection;
+        A :class:`~repro.faults.FaultPlan` for fault injection;
         ``None`` reads the ``REPRO_FAULTS`` environment variable (empty
         plan — zero overhead — when unset).
     registry:
@@ -283,7 +287,6 @@ class ScoringEngine:
             cache_entries if self._cache_enabled else None,
             registry=self.metrics,
         )
-        self.timer = StageTimer()
         # Decode/extract once per *unique* frontend; subsystems (possibly
         # several per frontend, e.g. a DBA-M1+M2 export) share the raw
         # supervectors, mirroring the pipeline's Eq. 18-19 sharing.
@@ -625,12 +628,15 @@ class ScoringEngine:
     # ------------------------------------------------------------------
     @contextmanager
     def _stage(self, name: str, audio_seconds: float = 0.0) -> Iterator[None]:
-        with self.timer.stage(name, audio_seconds=audio_seconds):
-            start = time.perf_counter()
-            try:
+        sp = trace.span(name)
+        if audio_seconds:
+            sp.inc("audio_s", audio_seconds)
+        start = time.perf_counter()
+        try:
+            with sp:
                 yield
-            finally:
-                self._stage_hist[name].observe(time.perf_counter() - start)
+        finally:
+            self._stage_hist[name].observe(time.perf_counter() - start)
 
     def _score_batch(self, utterances: list[Utterance]) -> np.ndarray:
         """One matrix-level pass: cache → decode/φ/SVM for misses → fuse.
@@ -743,7 +749,8 @@ class ScoringEngine:
         so with frontends down the engine falls back to the weighted
         linear combination :math:`Σ_q w_q s_q` over surviving
         subsystems, with the fitted weights renormalised to sum to one
-        over the survivors.
+        over the survivors — uniform when every survivor's fitted weight
+        is 0 (a DBA export whose live frontends had no fit counts).
         """
         live = [
             q
@@ -756,8 +763,9 @@ class ScoringEngine:
                 len(self.trained.subsystems),
                 1.0 / len(self.trained.subsystems),
             )
-        live_weights = np.asarray(weights, dtype=np.float64)[live]
-        live_weights = live_weights / live_weights.sum()
+        live_weights = subsystem_weights(
+            np.asarray(weights, dtype=np.float64)[live]
+        )
         fused = np.zeros((full.shape[0], full.shape[2]))
         for w, q in zip(live_weights, live):
             fused += w * full[:, q, :]
@@ -794,8 +802,8 @@ class ScoringEngine:
         for name in STAGE_NAMES:
             hist = self._stage_hist[name]
             stages[name] = {
-                "calls": self.timer.calls(name),
-                "elapsed_s": self.timer.elapsed(name),
+                "calls": hist.count,
+                "elapsed_s": hist.total,
                 "p50_ms": self._quantile_ms(hist, 50.0),
                 "p95_ms": self._quantile_ms(hist, 95.0),
             }

@@ -126,19 +126,11 @@ class VSM:
             seed=int(state["ovr.seed"]),
         )
         if vsm.scaler is not None:
-            if "scale_indices" in state:
-                vsm.scaler.load_sparse_scale(
-                    vsm.extractor.dim,
-                    state["scale_indices"],
-                    state["scale_values"],
-                )
-            else:  # legacy artifacts persisted the dense scale vector
-                scale = np.asarray(state["scale"], dtype=np.float64)
-                if scale.shape != (vsm.extractor.dim,):
-                    raise ValueError(
-                        "TFLLR scale does not match supervector dim"
-                    )
-                vsm.scaler.scale_ = scale
+            vsm.scaler.load_scale(
+                vsm.extractor.dim,
+                state["scale_indices"],
+                state["scale_values"],
+            )
         vsm.ovr = OneVsRestSVM.from_state(
             {
                 key[len("ovr.") :]: value

@@ -1,17 +1,16 @@
-"""Shared infrastructure: RNG streams, sparse containers, timing, parallel map."""
+"""Shared infrastructure: RNG streams, sparse containers, parallel map.
 
-from repro.utils.io import (
-    MatrixCache,
-    load_scores,
-    load_sparse,
-    save_scores,
-    save_sparse,
-)
+Also the Eq. 16–19 :class:`CostLedger`.  Stage timing is
+:mod:`repro.obs.trace` spans; stage products persist in
+:class:`repro.exec.store.ArtifactStore`.
+"""
+
+from repro.utils.io import load_scores, save_scores
 from repro.utils.lru import LruTracker
 from repro.utils.parallel import chunked, effective_workers, pmap
 from repro.utils.rng import child_rng, ensure_rng, spawn_many
 from repro.utils.sparse import SparseMatrix, SparseVector
-from repro.utils.timing import CostLedger, StageTimer
+from repro.utils.timing import CostLedger
 from repro.utils.validation import (
     check_in,
     check_matrix,
@@ -23,18 +22,14 @@ from repro.utils.validation import (
 
 __all__ = [
     "LruTracker",
-    "MatrixCache",
     "load_scores",
-    "load_sparse",
     "save_scores",
-    "save_sparse",
     "child_rng",
     "ensure_rng",
     "spawn_many",
     "SparseMatrix",
     "SparseVector",
     "CostLedger",
-    "StageTimer",
     "pmap",
     "chunked",
     "effective_workers",

@@ -1,21 +1,16 @@
-"""Least-recently-used bookkeeping shared by the caches.
+"""Least-recently-used bookkeeping for the serving score cache.
 
-Two caches need identical eviction behaviour: the disk-backed
-:class:`repro.utils.io.MatrixCache` (supervector matrices per
-``(frontend, corpus)``) and the in-memory
-:class:`repro.serve.cache.ScoreCache` (per-utterance subsystem scores in
-the online scoring service).  :class:`LruTracker` factors the recency
-bookkeeping out of both: it orders keys by last touch and, when a bound
-is configured, says which keys must go.  It deliberately stores no
-values — owners keep their own storage (files, dicts) and merely delete
-whatever the tracker evicts, so the same policy serves disk- and
-memory-backed stores alike.
+:class:`LruTracker` orders keys by last touch and, when a bound is
+configured, says which keys must go.  It stores no values: the owner
+(:class:`repro.serve.cache.ScoreCache`, per-utterance subsystem scores
+in the online scoring service) keeps its own dict and deletes whatever
+the tracker evicts.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Hashable
 
 __all__ = ["LruTracker"]
 
@@ -70,15 +65,3 @@ class LruTracker:
             key, _ = self._order.popitem(last=False)
             evicted.append(key)
         return evicted
-
-    def seed(self, keys: Iterable[Hashable]) -> None:
-        """Initialise recency order from ``keys`` (oldest first).
-
-        Used by disk-backed caches to adopt pre-existing entries: keys
-        are recorded least-recent-first without triggering eviction, so a
-        freshly opened cache over an over-full directory only evicts on
-        the next :meth:`touch` + :meth:`pop_excess` cycle.
-        """
-        for key in keys:
-            if key not in self._order:
-                self._order[key] = None

@@ -249,20 +249,6 @@ class SparseMatrix:
         np.add.at(sq, self._row_of_entry(), self.values**2)
         return np.sqrt(sq)
 
-    def column_sums(self) -> np.ndarray:
-        """Dense vector of per-column sums (length ``dim``)."""
-        out = np.zeros(self.dim, dtype=np.float64)
-        np.add.at(out, self.indices, self.values)
-        return out
-
-    def scale_columns(self, diag: np.ndarray) -> "SparseMatrix":
-        """Return a copy with column ``q`` multiplied by ``diag[q]``."""
-        if diag.shape[0] != self.dim:
-            raise ValueError("dimension mismatch")
-        return SparseMatrix(
-            self.dim, self.indptr, self.indices, self.values * diag[self.indices]
-        )
-
     def to_dense(self) -> np.ndarray:
         """Densify (test/debug aid; avoid on full supervector dims)."""
         out = np.zeros((self.n_rows, self.dim), dtype=np.float64)

@@ -1,127 +1,23 @@
-"""Stage timing and real-time-factor accounting (paper §5.4–5.5, Table 5).
-
-.. deprecated:: 1.2
-    :class:`StageTimer` is now a thin wrapper over
-    :mod:`repro.obs.trace` spans — each :meth:`StageTimer.stage` block
-    opens a span named after the stage (with the processed audio as an
-    ``audio_s`` counter), so there is **one timing source of truth** and
-    traced runs see every stage in their runlog.  New instrumentation
-    should use :func:`repro.obs.trace.span` (structure + attributes) or
-    :mod:`repro.obs.metrics` (process-level accounting) directly;
-    ``StageTimer`` remains for the Table 5 real-time-factor reports and
-    for existing callers.
+"""Symbolic cost accounting of paper Eqs. 16–19 (§5.4–5.5, Table 5).
 
 The paper reports per-stage *real-time factors* — wall-clock seconds of
 compute per second of processed speech — for decoding, supervector
 generation and supervector product, and argues analytically (Eqs. 16–19)
 that DBA's extra modeling/test passes are negligible against decoding.
-:class:`StageTimer` collects the per-stage wall-clock totals and audio
-totals needed to print that table, and :class:`CostLedger` mirrors the
-symbolic cost model of Eq. 16/18 so the analytic ratio can be checked
-against measured time.
+The measured per-stage times come from :mod:`repro.obs.trace` spans
+(``decoding`` / ``sv_generation`` / ``sv_product`` / ``svm_training``,
+each carrying an ``audio_s`` counter), rolled up by
+:func:`repro.obs.runlog.aggregate_stages`.  :class:`CostLedger` mirrors
+the symbolic cost model of Eq. 16/18 so the analytic ratio can be
+checked against measured time.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict
 
-from repro.obs import trace
-
-__all__ = ["StageTimer", "CostLedger"]
-
-
-class StageTimer:
-    """Accumulate wall-clock time per named pipeline stage.
-
-    Use :meth:`stage` as a context manager around each unit of work and
-    :meth:`add_audio` to record how many seconds of (synthetic) speech the
-    work covered; :meth:`real_time_factor` then reports seconds-of-compute
-    per second-of-speech, the unit of Table 5.
-
-    Every :meth:`stage` block also emits a :mod:`repro.obs.trace` span
-    named after the stage; when tracing is disabled the span is the
-    shared no-op singleton, so the overhead is one global read.
-    """
-
-    def __init__(self) -> None:
-        self._elapsed: Dict[str, float] = {}
-        self._audio: Dict[str, float] = {}
-        self._calls: Dict[str, int] = {}
-        # The stage graph (repro.exec.graph) times concurrent stages
-        # against one shared timer; the accumulators need a lock.
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def stage(self, name: str, audio_seconds: float = 0.0) -> Iterator[None]:
-        """Time one unit of work under ``name``.
-
-        ``audio_seconds`` is the amount of speech the unit processed, used
-        as the denominator of the real-time factor.  The block is also
-        recorded as a trace span named ``name`` when tracing is active;
-        the span's measured wall time is then reused verbatim for the
-        accumulators (one clock, one truth).
-        """
-        sp = trace.span(name)
-        if audio_seconds:
-            sp.inc("audio_s", float(audio_seconds))
-        start = time.perf_counter()
-        try:
-            with sp:
-                yield
-        finally:
-            wall = sp.wall_s
-            dt = wall if wall is not None else time.perf_counter() - start
-            with self._lock:
-                self._elapsed[name] = self._elapsed.get(name, 0.0) + dt
-                self._audio[name] = (
-                    self._audio.get(name, 0.0) + audio_seconds
-                )
-                self._calls[name] = self._calls.get(name, 0) + 1
-
-    def add_audio(self, name: str, audio_seconds: float) -> None:
-        """Attribute additional processed audio to stage ``name``."""
-        with self._lock:
-            self._audio[name] = self._audio.get(name, 0.0) + audio_seconds
-
-    def elapsed(self, name: str) -> float:
-        """Total wall-clock seconds spent in ``name``."""
-        return self._elapsed.get(name, 0.0)
-
-    def calls(self, name: str) -> int:
-        """Number of :meth:`stage` entries recorded for ``name``."""
-        return self._calls.get(name, 0)
-
-    def real_time_factor(self, name: str) -> float:
-        """Seconds of compute per second of speech for stage ``name``.
-
-        Returns ``nan`` when no audio has been attributed to the stage.
-        """
-        audio = self._audio.get(name, 0.0)
-        if audio <= 0.0:
-            return float("nan")
-        return self._elapsed.get(name, 0.0) / audio
-
-    def stages(self) -> list[str]:
-        """Names of all recorded stages, in first-seen order."""
-        return list(self._elapsed.keys())
-
-    def merge(self, other: "StageTimer") -> None:
-        """Fold another timer's accumulators into this one."""
-        with other._lock:
-            elapsed = dict(other._elapsed)
-            audio = dict(other._audio)
-            calls = dict(other._calls)
-        with self._lock:
-            for name, dt in elapsed.items():
-                self._elapsed[name] = self._elapsed.get(name, 0.0) + dt
-            for name, au in audio.items():
-                self._audio[name] = self._audio.get(name, 0.0) + au
-            for name, c in calls.items():
-                self._calls[name] = self._calls.get(name, 0) + c
+__all__ = ["CostLedger"]
 
 
 @dataclass

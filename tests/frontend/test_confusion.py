@@ -11,6 +11,7 @@ from repro.corpus.language import make_language
 from repro.corpus.phoneset import universal_phone_set
 from repro.corpus.speaker import SessionSampler
 from repro.frontend.confusion import ConfusionChannelRecognizer, ConfusionModel
+from tests.oracles.phi import decode_reference
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +149,10 @@ class TestDecodeBatch:
         looped = [fe.decode(u) for u in corpus]
         self._assert_bitwise_equal(fe.decode_batch(corpus), looped)
 
-    def test_batch_matches_reference_bitwise(
-        self, space, corpus, monkeypatch
-    ):
+    def test_batch_matches_reference_bitwise(self, space, corpus):
         fe = ConfusionChannelRecognizer("X", space, 30, seed=1)
         batch = fe.decode_batch(corpus)
-        monkeypatch.setenv("REPRO_PHI_REFERENCE", "1")
-        reference = [fe.decode(u) for u in corpus]
+        reference = [decode_reference(fe, u) for u in corpus]
         self._assert_bitwise_equal(batch, reference)
 
     def test_empty_batch(self, space):

@@ -9,6 +9,7 @@ from repro.corpus.phoneset import PhoneSet
 from repro.frontend.lattice import Sausage
 from repro.ngram.supervector import SupervectorExtractor, TFLLRScaler
 from repro.utils.sparse import SparseMatrix
+from tests.oracles.phi import dense_scale
 
 PS = PhoneSet("t", tuple("abcd"))
 
@@ -73,10 +74,10 @@ class TestTFLLRScaler:
     def test_scaling_is_inverse_sqrt(self):
         m = self._train_matrix()
         scaler = TFLLRScaler(min_prob=1e-12).fit(m)
-        p_all = m.column_sums() / m.n_rows
+        p_all = m.to_dense().sum(axis=0) / m.n_rows
         nonzero = p_all > 0
         np.testing.assert_allclose(
-            scaler.scale_[nonzero], 1.0 / np.sqrt(p_all[nonzero])
+            dense_scale(scaler)[nonzero], 1.0 / np.sqrt(p_all[nonzero])
         )
 
     def test_kernel_equals_scaled_inner_product(self):
@@ -85,7 +86,7 @@ class TestTFLLRScaler:
         scaler = TFLLRScaler(min_prob=1e-12).fit(m)
         scaled = scaler.transform(m)
         dense = m.to_dense()
-        p_all = m.column_sums() / m.n_rows
+        p_all = dense.sum(axis=0) / m.n_rows
         safe = np.where(p_all > 0, p_all, np.inf)
         expected = (dense / np.sqrt(safe)) @ (dense / np.sqrt(safe)).T
         np.testing.assert_allclose(
@@ -95,7 +96,7 @@ class TestTFLLRScaler:
     def test_min_prob_floors_rare_terms(self):
         m = self._train_matrix()
         scaler = TFLLRScaler(min_prob=0.5).fit(m)
-        assert scaler.scale_.max() <= 1.0 / np.sqrt(0.5) + 1e-12
+        assert dense_scale(scaler).max() <= 1.0 / np.sqrt(0.5) + 1e-12
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -33,13 +33,6 @@ class TestLruTracker:
         assert lru.pop_excess() == []
         assert len(lru) == 100
 
-    def test_seed_adopts_oldest_first(self):
-        lru = LruTracker(max_entries=2)
-        lru.seed(["old", "mid", "new"])
-        assert len(lru) == 3  # seeding alone does not evict
-        lru.touch("new")
-        assert lru.pop_excess() == ["old"]
-
     def test_discard_and_contains(self):
         lru = LruTracker()
         lru.touch("x")

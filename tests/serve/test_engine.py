@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve import ScoringEngine
 from repro.serve.engine import STAGE_NAMES
+from tests.tracing import traced_stages
 
 
 @pytest.fixture()
@@ -146,6 +147,37 @@ class TestStats:
             assert entry["p95_ms"] >= 0.0
         assert stats["latency_ms"]["p50"] >= 0.0
         assert stats["languages"] == list(engine.languages)
+
+    def test_stage_stats_read_the_stage_histograms(
+        self, serve_trained, dev_utterances
+    ):
+        engine = ScoringEngine(serve_trained, cache_entries=0)
+        engine.score_utterances(dev_utterances[:2])
+        engine.score_utterances(dev_utterances[2:4])
+        stats = engine.stats()
+        for name in STAGE_NAMES:
+            hist = stats["metrics"][f"serve.stage.{name}.seconds"]
+            assert stats["stages"][name]["calls"] == hist["count"]
+            assert stats["stages"][name]["elapsed_s"] == hist["total"]
+        n_frontends = len(serve_trained.frontends)
+        assert stats["stages"]["decoding"]["calls"] == 2 * n_frontends
+        assert stats["stages"]["fusion"]["calls"] == 2
+
+    def test_stages_emit_spans_with_audio(self, serve_trained, dev_utterances):
+        utts = dev_utterances[:2]
+        engine = ScoringEngine(serve_trained, cache_entries=0)
+        with traced_stages() as rollup:
+            engine.score_utterances(utts)
+        stages = rollup()
+        n_frontends = len(serve_trained.frontends)
+        audio = sum(u.duration for u in utts)
+        for name in ("decoding", "sv_generation", "sv_product"):
+            assert stages[name]["calls"] == n_frontends
+            assert stages[name]["audio_s"] == pytest.approx(
+                n_frontends * audio
+            )
+        assert stages["fusion"]["calls"] == 1
+        assert "audio_s" not in stages["fusion"]
 
     def test_empty_stats_serialise_to_strict_json(self, serve_trained):
         import json

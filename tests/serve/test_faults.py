@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.serve.faults import ENV_VAR, FaultPlan, InjectedFault
+from repro.faults import ENV_VAR, FaultPlan, InjectedFault
 
 
 class TestParsing:
@@ -86,19 +86,3 @@ class TestEnvActivation:
     def test_from_env_unset_is_empty(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert not FaultPlan.from_env()
-
-
-class TestShim:
-    def test_serve_faults_is_a_shim_over_repro_faults(self):
-        # The module moved to repro.faults.injection in 1.5; the old
-        # path must keep re-exporting the *same* objects so existing
-        # plans, excepts and isinstance checks keep working.
-        import repro.faults.injection as injection
-        import repro.serve.faults as shim
-
-        assert shim.FaultPlan is injection.FaultPlan
-        assert shim.InjectedFault is injection.InjectedFault
-        assert shim.ENV_VAR == injection.ENV_VAR
-        assert sorted(shim.__all__) == sorted(
-            ["ENV_VAR", "FaultPlan", "InjectedFault"]
-        )

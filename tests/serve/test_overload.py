@@ -14,10 +14,14 @@ from __future__ import annotations
 import threading
 import time
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.serve import ScoringEngine
+from repro.backend.fusion import subsystem_weights
+from repro.core.pipeline import BaselineResult
+from repro.serve import ScoringEngine, export_trained
 from repro.serve.engine import (
     AllFrontendsDownError,
     DeadlineExceededError,
@@ -25,7 +29,7 @@ from repro.serve.engine import (
     QueueFullError,
     _Request,
 )
-from repro.serve.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan, InjectedFault
 from repro.utils.rng import child_rng
 
 
@@ -67,8 +71,10 @@ def _linear_reference(trained, utterances, dead: set[str]) -> np.ndarray:
         for q, (fe_name, _) in enumerate(trained.subsystems)
         if fe_name not in dead
     ]
-    weights = np.asarray(trained.fusion.weights_, dtype=np.float64)[live]
-    weights = weights / weights.sum()
+    # Renormalised over the survivors; uniform if none carries weight.
+    weights = subsystem_weights(
+        np.asarray(trained.fusion.weights_, dtype=np.float64)[live]
+    )
     fused = np.zeros((len(utterances), trained.n_classes))
     for w, q in zip(weights, live):
         fe_name, vsm = trained.subsystems[q]
@@ -288,6 +294,91 @@ class TestCircuitBreaker:
         assert not engine.degraded
 
 
+@pytest.fixture(scope="module")
+def serve_dba(serve_system, serve_baseline):
+    """One DBA-M2 pass over the shared baseline."""
+    return serve_system.dba(2, "M2", serve_baseline)
+
+
+class TestDegradedFusionWeights:
+    def test_zero_weight_survivors_fall_back_to_uniform(
+        self, serve_system, serve_baseline, serve_dba, serve_config
+    ):
+        """A baseline+DBA export whose live frontends had ``M_n = 0``.
+
+        Only the first frontend's DBA subsystem met the vote criterion,
+        so every other subsystem's fitted fusion weight is 0.  With that
+        frontend down, renormalising the survivors' weights divided 0 by
+        0 and served NaN rows; they must fall back to uniform weights.
+        """
+        counts = np.zeros_like(serve_dba.fit_counts)
+        counts[0] = 15
+        lopsided = dataclasses.replace(serve_dba, fit_counts=counts)
+        trained = export_trained(
+            serve_system, [serve_baseline, lopsided], serve_config
+        )
+        dead_fe = trained.frontends[0].name
+        utts = list(serve_system.bundle.test[3.0].utterances)[:4]
+        live = [
+            w
+            for (fe_name, _), w in zip(
+                trained.subsystems, trained.fusion.weights_
+            )
+            if fe_name != dead_fe
+        ]
+        assert live and not any(live)  # every survivor weighs 0
+        engine = ScoringEngine(
+            trained, cache_entries=0, faults=FaultPlan.parse(f"error:{dead_fe}")
+        )
+        rows = engine.score_utterances(utts)
+        assert engine.degraded_frontends() == [dead_fe]
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows, _linear_reference(trained, utts, {dead_fe}))
+
+    def test_engine_rule_against_pipeline_rule(
+        self, serve_system, serve_baseline, serve_dba, serve_config
+    ):
+        """Whether both Eq. 20 fallbacks give the same degraded rows.
+
+        Same fitted baseline + DBA subsystems, same dead frontend.  The
+        engine renormalises the exported ``fusion.weights_`` (fit counts
+        over *all* subsystems) across the survivors; the pipeline
+        recomputes ``subsystem_weights`` from the survivors' fit counts.
+        Both rules give the same weights up to rounding, so the rows
+        agree to 1e-12 but not bit for bit: ``(c/T)/Σ(c/T)`` and ``c/Σc``
+        round differently.
+        """
+        results = [serve_baseline, serve_dba]
+        trained = export_trained(serve_system, results, serve_config)
+        dead_fe = trained.frontends[0].name
+        keep = [n != dead_fe for n in serve_baseline.names]
+        survivors = [
+            BaselineResult(
+                [s for s, k in zip(serve_baseline.subsystems, keep) if k],
+                serve_baseline.durations,
+            ),
+            dataclasses.replace(
+                serve_dba,
+                subsystems=[
+                    s for s, k in zip(serve_dba.subsystems, keep) if k
+                ],
+                fit_counts=serve_dba.fit_counts[np.array(keep)],
+            ),
+        ]
+        offline = serve_system._degraded_fused_scores(survivors, 3.0)
+        engine = ScoringEngine(
+            trained, cache_entries=0, faults=FaultPlan.parse(f"error:{dead_fe}")
+        )
+        served = engine.score_utterances(
+            list(serve_system.bundle.test[3.0].utterances)
+        )
+        assert engine.degraded_frontends() == [dead_fe]
+        np.testing.assert_allclose(served, offline, rtol=0, atol=1e-12)
+        # The recorded finding (max |Δ| 3.3e-16 here).  Unifying the two
+        # rules into one kernel is what should flip this assertion.
+        assert not np.array_equal(served, offline)
+
+
 class TestCloseSemantics:
     def test_close_fails_orphaned_requests(
         self, serve_trained, dev_utterances
@@ -321,10 +412,10 @@ class TestConcurrentTraffic:
         """Thread hammer over one engine: exact counters, exact scores.
 
         The sync path (``score_utterances``) and the batcher both run
-        ``_score_batch`` against one ``ScoreCache``, one ``StageTimer``
-        and one metrics registry.  Audit result: every shared structure
-        is individually locked (cache, LRU, timer, instruments, breaker
-        state), and concurrent misses of the same digest at worst
+        ``_score_batch`` against one ``ScoreCache`` and one metrics
+        registry (stage histograms included).  Audit result: every
+        shared structure is individually locked (cache, LRU,
+        instruments, breaker state), and concurrent misses of the same digest at worst
         recompute the same deterministic value — so the invariants below
         must hold exactly, not approximately.
         """

@@ -16,7 +16,7 @@ import pytest
 
 from repro.serve import ScoringEngine, make_server, utterance_to_json
 from repro.serve.engine import EngineClosedError
-from repro.serve.faults import FaultPlan
+from repro.faults import FaultPlan
 
 
 @pytest.fixture()

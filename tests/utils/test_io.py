@@ -1,47 +1,11 @@
-"""Tests for artifact persistence."""
+"""Tests for score-matrix exchange files."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.utils.io import (
-    MatrixCache,
-    load_scores,
-    load_sparse,
-    save_scores,
-    save_sparse,
-)
-from repro.utils.sparse import SparseMatrix, SparseVector
-
-
-def sample_matrix() -> SparseMatrix:
-    rows = [
-        SparseVector.from_dict(10, {1: 2.0, 7: -1.5}),
-        SparseVector.from_dict(10, {}),
-        SparseVector.from_dict(10, {0: 0.25, 9: 4.0}),
-    ]
-    return SparseMatrix.from_rows(rows)
-
-
-class TestSparseRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        m = sample_matrix()
-        save_sparse(tmp_path / "m.npz", m)
-        loaded = load_sparse(tmp_path / "m.npz")
-        assert loaded.dim == m.dim
-        np.testing.assert_array_equal(loaded.indptr, m.indptr)
-        np.testing.assert_allclose(loaded.to_dense(), m.to_dense())
-
-    def test_creates_parent_dirs(self, tmp_path):
-        save_sparse(tmp_path / "a" / "b" / "m.npz", sample_matrix())
-        assert (tmp_path / "a" / "b" / "m.npz").exists()
-
-    def test_empty_matrix(self, tmp_path):
-        m = SparseMatrix.from_rows([], dim=5)
-        save_sparse(tmp_path / "e.npz", m)
-        loaded = load_sparse(tmp_path / "e.npz")
-        assert loaded.n_rows == 0 and loaded.dim == 5
+from repro.utils.io import load_scores, save_scores
 
 
 class TestScoresRoundtrip:
@@ -55,80 +19,3 @@ class TestScoresRoundtrip:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             save_scores(tmp_path / "s.npz", {"bad": np.zeros(3)})
-
-
-class TestMatrixCache:
-    def test_get_or_compute_caches(self, tmp_path):
-        cache = MatrixCache(tmp_path / "cache")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return sample_matrix()
-
-        a = cache.get_or_compute("HU", "test@30.0", compute)
-        b = cache.get_or_compute("HU", "test@30.0", compute)
-        assert len(calls) == 1
-        np.testing.assert_allclose(a.to_dense(), b.to_dense())
-
-    def test_keys_isolated(self, tmp_path):
-        cache = MatrixCache(tmp_path)
-        cache.put("HU", "train", sample_matrix())
-        assert cache.has("HU", "train")
-        assert not cache.has("RU", "train")
-        assert not cache.has("HU", "dev")
-
-    def test_missing_key_raises(self, tmp_path):
-        with pytest.raises(KeyError):
-            MatrixCache(tmp_path).get("X", "train")
-
-    def test_tag_sanitisation(self, tmp_path):
-        cache = MatrixCache(tmp_path)
-        cache.put("A", "test@3.0", sample_matrix())
-        assert cache.has("A", "test@3.0")
-        # No '@' in the stored filename.
-        assert all("@" not in p.name for p in cache.directory.iterdir())
-
-
-class TestMatrixCacheBound:
-    def test_put_evicts_least_recently_used(self, tmp_path):
-        cache = MatrixCache(tmp_path, max_entries=2)
-        cache.put("A", "train", sample_matrix())
-        cache.put("B", "train", sample_matrix())
-        cache.get("A", "train")  # refresh A; B becomes least recent
-        cache.put("C", "train", sample_matrix())
-        assert cache.has("A", "train")
-        assert not cache.has("B", "train")
-        assert cache.has("C", "train")
-        assert len(cache) == 2
-        assert len(list(cache.directory.glob("*.npz"))) == 2
-
-    def test_unbounded_by_default(self, tmp_path):
-        cache = MatrixCache(tmp_path)
-        for name in "ABCDE":
-            cache.put(name, "train", sample_matrix())
-        assert cache.max_entries is None
-        assert len(cache) == 5
-
-    def test_adopts_existing_directory(self, tmp_path):
-        import os
-
-        first = MatrixCache(tmp_path)
-        for i, name in enumerate(("A", "B", "C")):
-            first.put(name, "train", sample_matrix())
-            # Distinct mtimes so adoption order is deterministic.
-            path = first._path(name, "train")
-            os.utime(path, (1_000_000 + i, 1_000_000 + i))
-        reopened = MatrixCache(tmp_path, max_entries=2)
-        # Oldest-modified entry is evicted on open.
-        assert not reopened.has("A", "train")
-        assert reopened.has("B", "train")
-        assert reopened.has("C", "train")
-
-    def test_get_discards_externally_deleted_entries(self, tmp_path):
-        cache = MatrixCache(tmp_path, max_entries=3)
-        cache.put("A", "train", sample_matrix())
-        cache._path("A", "train").unlink()
-        with pytest.raises(KeyError):
-            cache.get("A", "train")
-        assert len(cache) == 0

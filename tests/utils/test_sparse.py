@@ -149,17 +149,6 @@ class TestSparseMatrix:
             m.row_norms(), np.linalg.norm(dense, axis=1)
         )
 
-    def test_column_sums(self):
-        m, dense = self._matrix()
-        np.testing.assert_allclose(m.column_sums(), dense.sum(axis=0))
-
-    def test_scale_columns(self):
-        m, dense = self._matrix()
-        diag = np.linspace(0.5, 2.0, 9)
-        np.testing.assert_allclose(
-            m.scale_columns(diag).to_dense(), dense * diag
-        )
-
     def test_select_rows(self):
         m, dense = self._matrix()
         sel = m.select_rows(np.array([4, 0]))

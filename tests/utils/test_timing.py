@@ -1,102 +1,11 @@
-"""Tests for stage timing and the Eq. 16–19 cost ledger."""
+"""Tests for the Eq. 16–19 cost ledger."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.utils.timing import CostLedger, StageTimer
-
-
-class TestStageTimer:
-    def test_records_elapsed_and_calls(self):
-        timer = StageTimer()
-        with timer.stage("decode"):
-            time.sleep(0.01)
-        with timer.stage("decode"):
-            pass
-        assert timer.elapsed("decode") >= 0.01
-        assert timer.calls("decode") == 2
-
-    def test_unknown_stage_is_zero(self):
-        timer = StageTimer()
-        assert timer.elapsed("nope") == 0.0
-        assert timer.calls("nope") == 0
-
-    def test_real_time_factor(self):
-        timer = StageTimer()
-        with timer.stage("decode", audio_seconds=2.0):
-            time.sleep(0.02)
-        rtf = timer.real_time_factor("decode")
-        assert rtf == pytest.approx(timer.elapsed("decode") / 2.0)
-
-    def test_rtf_nan_without_audio(self):
-        timer = StageTimer()
-        with timer.stage("decode"):
-            pass
-        assert np.isnan(timer.real_time_factor("decode"))
-
-    def test_add_audio(self):
-        timer = StageTimer()
-        with timer.stage("x", audio_seconds=1.0):
-            pass
-        timer.add_audio("x", 3.0)
-        assert timer.real_time_factor("x") == pytest.approx(
-            timer.elapsed("x") / 4.0
-        )
-
-    def test_exception_still_recorded(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("bad"):
-                raise RuntimeError("boom")
-        assert timer.calls("bad") == 1
-
-    def test_merge(self):
-        a, b = StageTimer(), StageTimer()
-        with a.stage("s", audio_seconds=1.0):
-            pass
-        with b.stage("s", audio_seconds=2.0):
-            pass
-        with b.stage("t"):
-            pass
-        a.merge(b)
-        assert a.calls("s") == 2
-        assert a.calls("t") == 1
-        assert set(a.stages()) == {"s", "t"}
-
-
-class TestStageTimerEmitsSpans:
-    """StageTimer is now a thin wrapper over repro.obs.trace spans."""
-
-    def test_stage_emits_span_with_audio_counter(self):
-        from repro.obs import trace
-
-        trace.stop_trace()
-        trace.start_trace("timing-test")
-        try:
-            timer = StageTimer()
-            with timer.stage("decoding", audio_seconds=2.5):
-                pass
-        finally:
-            root = trace.stop_trace()
-        (span,) = root.children
-        assert span.name == "decoding"
-        assert span.counters["audio_s"] == pytest.approx(2.5)
-        # One timing source of truth: the timer reads the span's clock.
-        assert timer.elapsed("decoding") == pytest.approx(span.wall_s)
-
-    def test_timer_works_without_active_trace(self):
-        from repro.obs import trace
-
-        assert not trace.enabled()
-        timer = StageTimer()
-        with timer.stage("decoding"):
-            pass
-        assert timer.calls("decoding") == 1
-        assert timer.elapsed("decoding") >= 0.0
+from repro.utils.timing import CostLedger
 
 
 class TestCostLedger:
