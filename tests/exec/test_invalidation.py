@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.exec.graph import run_stage
-from repro.exec.store import ArtifactStore, StoreCorruptionError
+from repro.exec.store import ArtifactStore, StoreCorruptionError, stage_key
 from repro.obs.metrics import default_registry
 
 _CHANGED = {
@@ -83,6 +83,24 @@ class TestFingerprintInvalidation:
             changed.frontends
         )
         assert registry.counter("exec.store.misses").value > 0
+
+
+class TestPhiKeys:
+    def test_confusion_phi_keys_carry_no_decode_params(
+        self, tmp_path, make_system
+    ):
+        """Confusion frontends add nothing to φ keys, so a store they
+        filled keeps hitting when acoustic decoder revisions change."""
+        system = make_system(store=ArtifactStore(tmp_path / "store"))
+        for fe in system.frontends:
+            for tag in ("train", "dev"):
+                assert system._phi_key(fe, tag) == stage_key(
+                    "phi",
+                    fingerprint=system.fingerprint,
+                    frontend=fe.name,
+                    corpus=tag,
+                    params={},
+                )
 
 
 class TestCorruption:
