@@ -476,9 +476,10 @@ class PhonotacticSystem:
             "phi",
             frontend=frontend.name,
             corpus=tag,
-            # Decode knobs that change numerics (float32 DP, beam
-            # pruning) key separate artifacts; plain batched float64
-            # decoding is bitwise-identical and adds nothing here.
+            # Decode knobs and revisions that change numerics (float32
+            # DP, beam pruning, the acoustic posterior kernel) key
+            # separate artifacts; batching is bitwise-neutral and adds
+            # nothing here.
             **_frontend_stage_params(frontend),
         )
 
@@ -530,7 +531,7 @@ class PhonotacticSystem:
             else {}
         )
         # Batched decoding amortises the per-frame DP over the whole
-        # corpus (bitwise-identical in float64).  Quarantine needs
+        # corpus (bitwise-identical to any chunking).  Quarantine needs
         # per-utterance fault isolation, so it keeps the scalar fan-out.
         batch = (
             not quarantine

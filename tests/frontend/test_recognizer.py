@@ -8,6 +8,7 @@ import pytest
 from repro.corpus.generator import Corpus, UtteranceGenerator
 from repro.corpus.language import make_language
 from repro.corpus.speaker import SessionSampler
+from repro.frontend.decoder import DecoderConfig
 from repro.frontend.recognizer import AcousticPhoneRecognizer, PhoneRecognizer
 from repro.frontend.registry import PAPER_FRONTENDS, FrontendSpec, build_frontends
 
@@ -71,6 +72,24 @@ class TestAcousticPhoneRecognizer:
         )
         with pytest.raises(ValueError, match="trains on"):
             fresh.train(Corpus([tiny_bundle.train[0]]))
+
+    def test_stage_params_name_the_posterior_kernel(self, tiny_bundle):
+        # φ entries of the log-domain forward–backward must miss; the
+        # softmax posteriors did not change and keep their keys.
+        lang = make_language("l", tiny_bundle.universal, 0, inventory_size=10)
+
+        def params(**cfg):
+            return AcousticPhoneRecognizer(
+                "R", tiny_bundle.acoustics, lang,
+                decoder_config=DecoderConfig(**cfg),
+            ).stage_params()
+
+        assert params() == {"posterior_kernel": 2}
+        assert params(dtype="float32") == {
+            "decode_dtype": "float32", "posterior_kernel": 2,
+        }
+        assert params(posterior_mode="softmax") == {}
+        assert DecoderConfig().stage_params() == {}
 
     def test_local_phones_mapping(self, trained_recognizer, tiny_bundle):
         rec, lang, gen = trained_recognizer

@@ -5,8 +5,10 @@ structured forward–backward recursions as the decoder first implemented
 them.  :class:`ScalarDecoder` wraps a
 :class:`~repro.frontend.decoder.ViterbiDecoder` and reuses its emission
 scaling and slot segmentation, so a comparison isolates the DP.  In
-float64, ``ViterbiDecoder.decode_batch`` must reproduce
-:meth:`ScalarDecoder.decode` byte for byte.
+float64, ``ViterbiDecoder`` must reproduce its Viterbi paths byte for
+byte, and its posteriors and slot probabilities within 1e-12: the
+decoder sums cross-phone arcs as a product with ``exp(cross)``, this
+reference as a log-sum-exp.
 """
 
 from __future__ import annotations
