@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core import select_pseudo_labels, vote_count_matrix
 from repro.core.pipeline import calibrate_scores, evaluate_scores
+from repro.frontend.registry import decode_utterances
 from repro.svm.vsm import VSM
 
 THRESHOLD = 3
@@ -35,16 +36,10 @@ def _run_orders(lab, orders, duration):
             seed=system.system.seed + 300 + q,
         )
         # Extract at the requested orders (bypasses the lab's order cache).
-        from repro.utils.rng import child_rng
-
         def sausages(tag):
-            corpus = system.corpus_for(tag)
-            return [
-                frontend.decode(
-                    u, child_rng(system.system.seed, f"decode/{frontend.name}/{u.utt_id}")
-                )
-                for u in corpus
-            ]
+            return decode_utterances(
+                frontend, system.system.seed, system.corpus_for(tag).utterances
+            )
 
         x_train = vsm.extract(sausages("train"))
         vsm.fit_matrix(x_train, y_train)

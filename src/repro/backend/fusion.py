@@ -20,7 +20,12 @@ from repro.backend.lda import LDA
 from repro.backend.mmi import MMITrainer
 from repro.utils.validation import check_matrix
 
-__all__ = ["LdaMmiFusion", "stack_scores", "subsystem_weights"]
+__all__ = [
+    "LdaMmiFusion",
+    "linear_fusion",
+    "stack_scores",
+    "subsystem_weights",
+]
 
 
 def subsystem_weights(fit_counts: np.ndarray | list[float]) -> np.ndarray:
@@ -38,6 +43,27 @@ def subsystem_weights(fit_counts: np.ndarray | list[float]) -> np.ndarray:
     if total <= 0:
         return np.full(counts.size, 1.0 / counts.size)
     return counts / total
+
+
+def linear_fusion(
+    score_matrices: list[np.ndarray], weights: np.ndarray | list[float]
+) -> np.ndarray:
+    """Eq. 20 linear fusion :math:`Σ_n w_n s_n` of ``(m, K)`` scores.
+
+    ``weights`` (one non-negative weight per matrix) are renormalised by
+    :func:`subsystem_weights`, so they need not sum to one and fall back
+    to uniform when all are zero.  This is the fallback when subsystems
+    are missing and the LDA-MMI backend cannot run: serving passes the
+    live subsystems' fitted fusion weights, a degraded campaign the
+    survivors' DBA fit counts.
+    """
+    weights = subsystem_weights(weights)
+    if weights.size != len(score_matrices):
+        raise ValueError("one weight per subsystem required")
+    fused = np.zeros(np.shape(score_matrices[0]), dtype=np.float64)
+    for w, scores in zip(weights, score_matrices):
+        fused += w * scores
+    return fused
 
 
 def stack_scores(

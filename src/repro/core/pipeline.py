@@ -51,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.backend.fusion import LdaMmiFusion, subsystem_weights
+from repro.backend.fusion import LdaMmiFusion, linear_fusion, subsystem_weights
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.dba import PseudoLabels, build_dba_training_set, select_pseudo_labels
 from repro.core.voting import vote_count_matrix, vote_fit_counts
@@ -66,14 +66,13 @@ from repro.exec.graph import (
 from repro.exec.store import ArtifactStore, stage_key
 from repro.faults import AllFrontendsFailedError, RetryPolicy
 from repro.frontend.lattice import Sausage
-from repro.frontend.registry import build_frontends
+from repro.frontend.registry import build_frontends, decode_utterances
 from repro.metrics.cavg import cavg
 from repro.metrics.eer import eer_from_matrix
 from repro.obs import trace
 from repro.obs.metrics import default_registry
 from repro.svm.vsm import VSM
-from repro.utils.parallel import effective_workers, pmap
-from repro.utils.rng import child_rng
+from repro.utils.parallel import chunked, effective_workers, pmap
 from repro.utils.sparse import SparseMatrix
 
 __all__ = [
@@ -165,31 +164,26 @@ class DBAResult(SystemResult):
         return f"dba-{self.variant}-V{self.threshold}"
 
 
-def _decode_utterance(frontend, seed: int, utterance):
-    """Top-level decode unit (picklable for the process-pool path)."""
-    return frontend.decode(
-        utterance, child_rng(seed, f"decode/{frontend.name}/{utterance.utt_id}")
-    )
+def _fit_counts(results: list[SystemResult]) -> np.ndarray:
+    """Per-subsystem DBA fit counts ``M_n`` of ``results``, in fusion order.
+
+    Subsystems without counts (baseline results, a DBA pass before its
+    vote) count 0, so ``subsystem_weights`` of the result is uniform
+    when no subsystem has any.
+    """
+    counts: list[float] = []
+    for result in results:
+        if isinstance(result, DBAResult) and result.fit_counts.size:
+            counts.extend(result.fit_counts.tolist())
+        else:
+            counts.extend([0.0] * len(result.subsystems))
+    return np.asarray(counts, dtype=np.float64)
 
 
 def _frontend_stage_params(frontend) -> dict[str, object]:
     """A frontend's numerics-changing decode params (may be absent)."""
     getter = getattr(frontend, "stage_params", None)
     return getter() if callable(getter) else {}
-
-
-def _decode_utterance_batch(frontend, seed: int, utterances):
-    """Top-level batched decode unit (picklable for the pool path).
-
-    Uses the exact per-utterance RNG streams :func:`_decode_utterance`
-    would, so batched and per-utterance fan-outs produce identical
-    sausages and the φ stage key can stay the same.
-    """
-    rngs = [
-        child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
-        for u in utterances
-    ]
-    return frontend.decode_batch(utterances, rngs)
 
 
 def evaluate_scores(
@@ -513,60 +507,37 @@ class PhonotacticSystem:
         audio = corpus.total_audio_seconds()
         if meta is not None:
             meta["audio_s"] = audio
-        decode = partial(_decode_utterance, frontend, seed)
-        # Under quarantine/degrade a persistently failing utterance is
-        # skipped: its slot becomes an empty sausage (a zero
-        # supervector contribution), the same shape-preserving move the
-        # paper's fleet would make by dropping one recognizer output.
-        quarantine = self.on_error in ("quarantine", "degrade")
+        # Batched decoding amortises the per-frame DP over each chunk,
+        # and a sausage does not depend on its chunk.
+        workers = effective_workers(self.system.workers)
+        utts = corpus.utterances
+        n_chunks = 1 if workers == 1 else min(len(utts), workers * 4)
         quarantined: list[int] = []
-        pmap_opts = (
-            dict(
+        pmap_opts: dict = {}
+        if self.on_error in ("quarantine", "degrade"):
+            # A persistently failing utterance is skipped: its slot
+            # becomes an empty sausage (a zero supervector
+            # contribution), the same shape-preserving move the paper's
+            # fleet would make by dropping one recognizer output.  One
+            # utterance per chunk isolates each failure, so chunk
+            # indices are utterance indices.
+            n_chunks = len(utts)
+            pmap_opts = dict(
                 on_error="quarantine",
                 max_quarantine_fraction=self.max_quarantine_fraction,
-                quarantine_value=Sausage([], frontend.phone_set),
+                quarantine_value=[Sausage([], frontend.phone_set)],
                 quarantined=quarantined,
             )
-            if quarantine
-            else {}
-        )
-        # Batched decoding amortises the per-frame DP over the whole
-        # corpus (bitwise-identical to any chunking).  Quarantine needs
-        # per-utterance fault isolation, so it keeps the scalar fan-out.
-        batch = (
-            not quarantine
-            and hasattr(frontend, "decode_batch")
-            and getattr(frontend, "is_trained", True)
-        )
         with trace.span("phi", frontend=frontend.name, corpus=tag) as sp:
             sp.inc("utterances", len(corpus))
             with trace.span("decoding").inc("audio_s", audio):
-                if batch:
-                    workers = effective_workers(self.system.workers)
-                    utts = corpus.utterances
-                    n_chunks = (
-                        1
-                        if workers == 1
-                        else max(1, min(len(utts), workers * 4))
-                    )
-                    chunks = [
-                        list(c)
-                        for c in np.array_split(np.array(utts, dtype=object), n_chunks)
-                        if len(c)
-                    ]
-                    batches = pmap(
-                        partial(_decode_utterance_batch, frontend, seed),
-                        chunks,
-                        workers=workers,
-                    )
-                    sausages = [s for chunk in batches for s in chunk]
-                else:
-                    sausages = pmap(
-                        decode,
-                        corpus.utterances,
-                        workers=self.system.workers,
-                        **pmap_opts,
-                    )
+                batches = pmap(
+                    partial(decode_utterances, frontend, seed),
+                    chunked(utts, max(1, n_chunks)),
+                    workers=workers,
+                    **pmap_opts,
+                )
+                sausages = [s for chunk in batches for s in chunk]
             if quarantined:
                 utt_ids = [
                     corpus.utterances[i].utt_id for i in quarantined
@@ -1025,28 +996,17 @@ class PhonotacticSystem:
         return out
 
     def fused_metrics(
-        self,
-        results: list[SystemResult],
-        duration: float,
-        *,
-        use_fit_count_weights: bool = True,
+        self, results: list[SystemResult], duration: float
     ) -> tuple[float, float]:
         """Calibrated fusion of all subsystems of all ``results``.
 
         For the paper's (DBA-M1)+(DBA-M2) row, pass both variants' results;
         weights follow w_n = M_n/ΣM_m when fit counts are available.
         """
-        fused = self.fused_scores(
-            results, duration, use_fit_count_weights=use_fit_count_weights
-        )
+        fused = self.fused_scores(results, duration)
         return evaluate_scores(fused, self.labels_for(f"test@{duration}"))
 
-    def fit_fusion(
-        self,
-        results: list[SystemResult],
-        *,
-        use_fit_count_weights: bool = True,
-    ) -> LdaMmiFusion:
+    def fit_fusion(self, results: list[SystemResult]) -> LdaMmiFusion:
         """Fit the LDA-MMI backend on the dev scores of ``results``.
 
         The returned fitted backend is a *trained component*: applying
@@ -1055,22 +1015,11 @@ class PhonotacticSystem:
         exported with the frontends and VSMs for online serving
         (:mod:`repro.serve.artifacts`).
         """
-        dev_list: list[np.ndarray] = []
-        counts: list[float] = []
-        for result in results:
-            for sub in result.subsystems:
-                dev_list.append(sub.dev)
-            if isinstance(result, DBAResult) and result.fit_counts.size:
-                counts.extend(result.fit_counts.tolist())
-            else:
-                counts.extend([0.0] * len(result.subsystems))
-        weights = (
-            subsystem_weights(np.asarray(counts))
-            if use_fit_count_weights and any(c > 0 for c in counts)
-            else None
-        )
+        dev_list = [dev for r in results for dev in r.dev_scores]
         return self._fitted_fusion(
-            ("fused", *(r.model_id for r in results)), dev_list, weights
+            ("fused", *(r.model_id for r in results)),
+            dev_list,
+            subsystem_weights(_fit_counts(results)),
         )
 
     def _fitted_fusion(
@@ -1112,11 +1061,7 @@ class PhonotacticSystem:
         return fusion
 
     def fused_scores(
-        self,
-        results: list[SystemResult],
-        duration: float,
-        *,
-        use_fit_count_weights: bool = True,
+        self, results: list[SystemResult], duration: float
     ) -> np.ndarray:
         """Calibrated fused test scores (for DET curves, Fig. 3).
 
@@ -1124,29 +1069,22 @@ class PhonotacticSystem:
         :attr:`~SystemResult.model_id` identities and the frontend
         battery membership.  On a degraded system (frontends dropped by
         ``on_error="degrade"``) the LDA-MMI backend is replaced by the
-        same fallback the serving engine uses with breakers open: the
-        Eq. 20 weighted linear fusion :math:`Σ_q w_q s_q` with weights
-        renormalized over the surviving subsystems — and the result
-        never persists to the store.
+        fallback the serving engine uses with breakers open:
+        :func:`~repro.backend.fusion.linear_fusion` (Eq. 20) under the
+        surviving subsystems' DBA fit counts, renormalized over them —
+        and the result never persists to the store.
         """
+        test_list = [s for r in results for s in r.test_scores(duration)]
         if self.degraded:
             with trace.span(
                 "fuse",
                 degraded=True,
                 members=[r.model_id for r in results],
             ):
-                return self._degraded_fused_scores(results, duration)
+                return linear_fusion(test_list, _fit_counts(results))
 
         def compute() -> np.ndarray:
-            fusion = self.fit_fusion(
-                results, use_fit_count_weights=use_fit_count_weights
-            )
-            test_list = [
-                sub.test[duration]
-                for result in results
-                for sub in result.subsystems
-            ]
-            return fusion.transform(test_list)
+            return self.fit_fusion(results).transform(test_list)
 
         return run_stage(
             compute,
@@ -1160,7 +1098,6 @@ class PhonotacticSystem:
                     corpus=f"test@{duration}",
                     members=[r.model_id for r in results],
                     frontends=[fe.name for fe in self.frontends],
-                    fit_count_weights=bool(use_fit_count_weights),
                 )
             ),
             kind="array",
@@ -1168,32 +1105,6 @@ class PhonotacticSystem:
             retry=self.retry,
             claims=self.claims,
         )
-
-    def _degraded_fused_scores(
-        self, results: list[SystemResult], duration: float
-    ) -> np.ndarray:
-        """Eq. 20 linear fusion over the surviving subsystems.
-
-        Mirrors :meth:`repro.serve.engine.ScoringEngine._degraded_fusion`:
-        per-subsystem weights come from the DBA fit counts
-        (w_n = M_n/ΣM_m, already renormalized over exactly the
-        subsystems present) or fall back to uniform, and the fused
-        score is the weighted sum of the raw subsystem score matrices.
-        """
-        test_list: list[np.ndarray] = []
-        counts: list[float] = []
-        for result in results:
-            for sub in result.subsystems:
-                test_list.append(sub.test[duration])
-            if isinstance(result, DBAResult) and result.fit_counts.size:
-                counts.extend(result.fit_counts.tolist())
-            else:
-                counts.extend([0.0] * len(result.subsystems))
-        weights = subsystem_weights(np.asarray(counts, dtype=np.float64))
-        fused = np.zeros_like(test_list[0], dtype=np.float64)
-        for w, scores in zip(weights, test_list):
-            fused += w * scores
-        return fused
 
 
 def build_system(

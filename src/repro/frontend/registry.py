@@ -32,7 +32,12 @@ from repro.frontend.recognizer import AcousticPhoneRecognizer
 from repro.utils.rng import child_rng
 from repro.utils.validation import check_in
 
-__all__ = ["FrontendSpec", "PAPER_FRONTENDS", "build_frontends"]
+__all__ = [
+    "FrontendSpec",
+    "PAPER_FRONTENDS",
+    "build_frontends",
+    "decode_utterances",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,27 @@ PAPER_FRONTENDS: tuple[FrontendSpec, ...] = (
     FrontendSpec("MA", "gmm", 64, tau=0.46, base_error=0.120),
     FrontendSpec("EN_GMM", "gmm", 47, tau=0.52, base_error=0.110),
 )
+
+
+def decode_utterances(frontend, seed: int, utterances):
+    """Decode ``utterances`` under their per-utterance RNG streams.
+
+    Utterance ``u`` decodes with ``child_rng(seed,
+    "decode/<frontend>/<utt_id>")``, so each sausage depends on its own
+    utterance only: campaigns and the serving engine chunk a corpus as
+    they like and get the same bytes.  A frontend with a batched decoder
+    gets one ``decode_batch`` call (bitwise equal to looping ``decode``);
+    any other falls back to ``decode`` per utterance.  Top-level, so a
+    :func:`functools.partial` of it pickles for
+    :func:`~repro.utils.parallel.pmap`.
+    """
+    rngs = [
+        child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
+        for u in utterances
+    ]
+    if hasattr(frontend, "decode_batch"):
+        return frontend.decode_batch(utterances, rngs)
+    return [frontend.decode(u, rng) for u, rng in zip(utterances, rngs)]
 
 
 def build_frontends(

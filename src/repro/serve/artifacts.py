@@ -147,11 +147,7 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 def export_trained(
-    system,
-    results: list,
-    config: ExperimentConfig,
-    *,
-    use_fit_count_weights: bool = True,
+    system, results: list, config: ExperimentConfig
 ) -> TrainedSystem:
     """Collect the trained components of pipeline ``results`` for export.
 
@@ -171,9 +167,7 @@ def export_trained(
                     "results must come from baseline()/dba()"
                 )
             subsystems.append((sub.name, sub.vsm))
-    fusion = system.fit_fusion(
-        results, use_fit_count_weights=use_fit_count_weights
-    )
+    fusion = system.fit_fusion(results)
     return TrainedSystem(
         config=config,
         language_names=tuple(system.bundle.language_names),

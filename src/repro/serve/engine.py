@@ -78,16 +78,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.backend.fusion import subsystem_weights
+from repro.backend.fusion import linear_fusion
 from repro.corpus.generator import Utterance
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import TrainedSystem
 from repro.serve.cache import ScoreCache
 from repro.faults.injection import FaultPlan
+from repro.frontend.registry import decode_utterances
 from repro.serve.protocol import utterance_digest
-from repro.utils.parallel import effective_workers, pmap
-from repro.utils.rng import child_rng
+from repro.utils.parallel import chunked, effective_workers, pmap
 
 __all__ = [
     "ScoringEngine",
@@ -128,28 +128,6 @@ class EngineClosedError(RuntimeError):
 
 class AllFrontendsDownError(RuntimeError):
     """Every frontend failed or is circuit-broken; nothing can score."""
-
-
-def _decode_one(frontend, seed: int, utterance: Utterance):
-    """Decode with the pipeline's RNG keying (picklable for pmap)."""
-    return frontend.decode(
-        utterance, child_rng(seed, f"decode/{frontend.name}/{utterance.utt_id}")
-    )
-
-
-def _decode_many(frontend, seed: int, utterances: list[Utterance]):
-    """Batched decode with the same RNG keying (picklable for pmap).
-
-    Falls back to the scalar loop for frontends without a batched
-    decoder; with one, the batch is bitwise-identical in float64.
-    """
-    if hasattr(frontend, "decode_batch"):
-        rngs = [
-            child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
-            for u in utterances
-        ]
-        return frontend.decode_batch(utterances, rngs)
-    return [_decode_one(frontend, seed, u) for u in utterances]
 
 
 def _settle(future: Future, *, result=None, exception=None) -> bool:
@@ -673,23 +651,12 @@ class ScoringEngine:
                 try:
                     self.faults.apply(frontend.name)
                     with self._stage("decoding", audio_seconds=audio):
-                        n_chunks = max(
-                            1,
-                            min(
-                                len(miss_utts),
-                                effective_workers(self.workers),
-                            ),
+                        n_chunks = min(
+                            len(miss_utts), effective_workers(self.workers)
                         )
-                        chunks = [
-                            list(c)
-                            for c in np.array_split(
-                                np.array(miss_utts, dtype=object), n_chunks
-                            )
-                            if len(c)
-                        ]
                         batches = pmap(
-                            partial(_decode_many, frontend, seed),
-                            chunks,
+                            partial(decode_utterances, frontend, seed),
+                            chunked(miss_utts, n_chunks),
                             workers=self.workers,
                         )
                         sausages = [s for b in batches for s in b]
@@ -746,30 +713,19 @@ class ScoringEngine:
         """Eq. 20 linear fusion restricted to the live subsystems.
 
         The fitted LDA-MMI backend needs all N subsystem score blocks,
-        so with frontends down the engine falls back to the weighted
-        linear combination :math:`Σ_q w_q s_q` over surviving
-        subsystems, with the fitted weights renormalised to sum to one
-        over the survivors — uniform when every survivor's fitted weight
-        is 0 (a DBA export whose live frontends had no fit counts).
+        so with frontends down the engine falls back to
+        :func:`~repro.backend.fusion.linear_fusion` over the surviving
+        subsystems, under their fitted fusion weights renormalised to
+        sum to one (uniform when every survivor's weight is 0).
         """
         live = [
             q
             for q, (fe_name, _) in enumerate(self.trained.subsystems)
             if fe_name not in dead
         ]
-        weights = self.trained.fusion.weights_
-        if weights is None:
-            weights = np.full(
-                len(self.trained.subsystems),
-                1.0 / len(self.trained.subsystems),
-            )
-        live_weights = subsystem_weights(
-            np.asarray(weights, dtype=np.float64)[live]
+        return linear_fusion(
+            [full[:, q, :] for q in live], self.trained.fusion.weights_[live]
         )
-        fused = np.zeros((full.shape[0], full.shape[2]))
-        for w, q in zip(live_weights, live):
-            fused += w * full[:, q, :]
-        return fused
 
     # ------------------------------------------------------------------
     # observability

@@ -11,7 +11,7 @@ contract, and :func:`utterance_digest` derives the cache key used by
 The digest covers everything decoding depends on: the utterance content
 (phones, frame counts, session, frame rate) *and* the ``utt_id``,
 because the pipeline's deterministic decode RNG is keyed by the
-utterance id (see :func:`repro.core.pipeline._decode_utterance`) — two
+utterance id (see :func:`repro.frontend.registry.decode_utterances`) — two
 identical signals under different ids legitimately produce different
 sausages.  The true ``language`` label is deliberately excluded: it is
 evaluation metadata, invisible to the recognizers.

@@ -72,23 +72,38 @@ class TestAcousticPipeline:
     def test_phi_independent_of_decode_chunking(self, acoustic_system):
         # One worker decodes a corpus as one batch; w workers split it
         # into min(n, 4w) chunks, single utterances at w = 8 here, run
-        # serially (pmap starts no process below 32 items).  Each
-        # sausage depends on its own utterance only, so the φ matrix
-        # must not change a byte.
-        def phi(workers, tag):
+        # serially (pmap starts no process below 32 items).  Quarantine
+        # decodes one utterance per chunk through ``decode_batch``, and
+        # a frontend without ``decode_batch`` falls back to ``decode``
+        # per utterance.  Each sausage depends on its own utterance
+        # only, so the φ matrix must not change a byte.
+        class DecodeOnly:
+            def __init__(self, inner):
+                self.name = inner.name
+                self.phone_set = inner.phone_set
+                self.decode = inner.decode
+
+        def phi(tag, workers=1, on_error="fail", wrap=None):
+            frontend = acoustic_system.frontends[0]
             system = PhonotacticSystem(
                 acoustic_system.bundle,
-                acoustic_system.frontends,
+                [wrap(frontend) if wrap else frontend],
                 replace(acoustic_system.system, workers=workers),
+                on_error=on_error,
             )
             return system.raw_matrix(system.frontends[0], tag)
 
         for tag in ("train", "test@10.0"):
-            one = phi(1, tag)
-            for workers in (2, 8):
-                other = phi(workers, tag)
+            one = phi(tag)
+            cases = {
+                "workers=2": phi(tag, workers=2),
+                "workers=8": phi(tag, workers=8),
+                "quarantine": phi(tag, on_error="quarantine"),
+                "decode-only": phi(tag, wrap=DecodeOnly),
+            }
+            for case, other in cases.items():
                 for field in ("indptr", "indices", "values"):
                     assert (
                         getattr(one, field).tobytes()
                         == getattr(other, field).tobytes()
-                    ), (tag, workers, field)
+                    ), (tag, case, field)

@@ -11,10 +11,10 @@ the service.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import threading
 import time
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -338,15 +338,17 @@ class TestDegradedFusionWeights:
     def test_engine_rule_against_pipeline_rule(
         self, serve_system, serve_baseline, serve_dba, serve_config
     ):
-        """Whether both Eq. 20 fallbacks give the same degraded rows.
+        """Whether both tiers' Eq. 20 fallbacks give the same degraded rows.
 
-        Same fitted baseline + DBA subsystems, same dead frontend.  The
-        engine renormalises the exported ``fusion.weights_`` (fit counts
-        over *all* subsystems) across the survivors; the pipeline
-        recomputes ``subsystem_weights`` from the survivors' fit counts.
-        Both rules give the same weights up to rounding, so the rows
-        agree to 1e-12 but not bit for bit: ``(c/T)/Σ(c/T)`` and ``c/Σc``
-        round differently.
+        Same fitted baseline + DBA subsystems, same dead frontend, one
+        function (:func:`~repro.backend.fusion.linear_fusion`) with
+        different inputs.  The engine passes the survivors' exported
+        ``fusion.weights_`` (fit counts normalised over *all*
+        subsystems); a degraded campaign's ``fused_scores`` passes the
+        survivors' raw fit counts.  Both renormalise to the same weights
+        up to rounding, so the rows agree to 1e-12 but not bit for bit:
+        ``(c/T)/Σ(c/T)`` and ``c/Σc`` round differently.  Equal rows
+        would need the fit counts in the serve export, a schema change.
         """
         results = [serve_baseline, serve_dba]
         trained = export_trained(serve_system, results, serve_config)
@@ -365,7 +367,9 @@ class TestDegradedFusionWeights:
                 fit_counts=serve_dba.fit_counts[np.array(keep)],
             ),
         ]
-        offline = serve_system._degraded_fused_scores(survivors, 3.0)
+        degraded = copy.copy(serve_system)
+        degraded.degraded = {dead_fe: "dropped for the test"}
+        offline = degraded.fused_scores(survivors, 3.0)
         engine = ScoringEngine(
             trained, cache_entries=0, faults=FaultPlan.parse(f"error:{dead_fe}")
         )
@@ -374,8 +378,7 @@ class TestDegradedFusionWeights:
         )
         assert engine.degraded_frontends() == [dead_fe]
         np.testing.assert_allclose(served, offline, rtol=0, atol=1e-12)
-        # The recorded finding (max |Δ| 3.3e-16 here).  Unifying the two
-        # rules into one kernel is what should flip this assertion.
+        # The recorded finding (max |Δ| 3.3e-16 here).
         assert not np.array_equal(served, offline)
 
 
