@@ -6,9 +6,9 @@ recognizer has :math:`64^3 = 262\,144` components — but an individual
 utterance only realises a few hundred distinct n-grams.  The classifier
 stack therefore works on a CSR-like batch representation,
 :class:`SparseMatrix`, with just the operations the SVM and kernel code
-need.  ``scipy.sparse`` would also work; a dedicated minimal structure keeps
-the dependency surface of the hot path explicit and lets the dual
-coordinate-descent trainer index rows without format conversions.
+need.  A dedicated minimal structure keeps the dependency surface of the
+hot path explicit; ``scipy.sparse`` serves only the SVM trainer's Gram
+matrix, built straight from the CSR arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+import scipy.sparse
 
 __all__ = ["SparseVector", "SparseMatrix"]
 
@@ -223,19 +224,7 @@ class SparseMatrix:
         """Return ``X @ w`` for dense ``w`` of length ``dim``."""
         if w.shape[0] != self.dim:
             raise ValueError("dimension mismatch")
-        out = np.zeros(self.n_rows, dtype=np.float64)
-        np.add.at(out, self._row_of_entry(), self.values * w[self.indices])
-        return out
-
-    def matmul_dense(self, W: np.ndarray) -> np.ndarray:
-        """Return ``X @ W`` for a dense ``(dim, k)`` matrix ``W``."""
-        if W.shape[0] != self.dim:
-            raise ValueError("dimension mismatch")
-        out = np.zeros((self.n_rows, W.shape[1]), dtype=np.float64)
-        # Gather rows of W for all stored entries, weight, and segment-sum.
-        gathered = self.values[:, None] * W[self.indices, :]
-        np.add.at(out, self._row_of_entry(), gathered)
-        return out
+        return self._row_sums(self.values * w[self.indices])
 
     def _row_of_entry(self) -> np.ndarray:
         """Row id of every stored entry (repeat-encoded from indptr)."""
@@ -243,11 +232,15 @@ class SparseMatrix:
             np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
         )
 
+    def _row_sums(self, per_entry: np.ndarray) -> np.ndarray:
+        """Sum ``per_entry`` within each row, in entry order from 0.0."""
+        return np.bincount(
+            self._row_of_entry(), weights=per_entry, minlength=self.n_rows
+        )
+
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of each row."""
-        sq = np.zeros(self.n_rows, dtype=np.float64)
-        np.add.at(sq, self._row_of_entry(), self.values**2)
-        return np.sqrt(sq)
+        return np.sqrt(self._row_sums(self.values**2))
 
     def to_dense(self) -> np.ndarray:
         """Densify (test/debug aid; avoid on full supervector dims)."""
@@ -255,14 +248,15 @@ class SparseMatrix:
         out[self._row_of_entry(), self.indices] = self.values
         return out
 
-    def gram(self, other: "SparseMatrix") -> np.ndarray:
-        """Return the ``(n_self, n_other)`` Gram matrix of inner products."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = np.empty((self.n_rows, other.n_rows), dtype=np.float64)
-        rows_o = [other.row(j) for j in range(other.n_rows)]
-        for i in range(self.n_rows):
-            ri = self.row(i)
-            for j, rj in enumerate(rows_o):
-                out[i, j] = ri.dot(rj)
-        return out
+    def gram(self) -> np.ndarray:
+        """Return the ``(n_rows, n_rows)`` Gram matrix ``X Xᵀ``.
+
+        One sparse product over the CSR arrays (nothing ``n_rows × dim`` is
+        densified); each entry sums over shared columns in column order, so
+        the result is exactly symmetric and independent of the BLAS.
+        """
+        x = scipy.sparse.csr_matrix(
+            (self.values, self.indices, self.indptr),
+            shape=(self.n_rows, self.dim),
+        )
+        return (x @ x.T).toarray()

@@ -16,7 +16,7 @@ import pytest
 from repro.backend.fusion import subsystem_weights
 from repro.core.campaign import run_campaign
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.pipeline import PhonotacticSystem
+from repro.core.pipeline import SVM_SOLVER, PhonotacticSystem
 from repro.exec.store import ArtifactStore
 from repro.faults import AllFrontendsFailedError, RetryPolicy
 from repro.faults.injection import ENV_VAR, reset_ambient_plan
@@ -125,6 +125,7 @@ class TestQuarantine:
                 frontend=flaky.name,
                 model="baseline",
                 seed_offset=0,
+                svm_solver=SVM_SOLVER,
             )
         )
         assert store.has(
@@ -133,6 +134,7 @@ class TestQuarantine:
                 frontend=tiny_frontends[1].name,
                 model="baseline",
                 seed_offset=1,
+                svm_solver=SVM_SOLVER,
             )
         )
 

@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.config import ExperimentConfig, SystemConfig
+from repro.core.pipeline import SVM_SOLVER
 from repro.exec.graph import run_stage
 from repro.exec.store import ArtifactStore, StoreCorruptionError, stage_key
 from repro.obs.metrics import default_registry
@@ -101,6 +102,33 @@ class TestPhiKeys:
                     corpus=tag,
                     params={},
                 )
+
+
+class TestSvmKeys:
+    def test_svm_stage_keys_name_the_solver(self, tmp_path, make_system):
+        """``svm_train``/``dba_train`` keys carry ``svm_solver``, so fits a
+        store holds from the row-gather trainer (keys without it) miss."""
+        store = ArtifactStore(tmp_path / "store")
+        system = make_system(store=store)
+        system.dba(2, "M1", system.baseline())
+        for q, fe in enumerate(system.frontends):
+            for stage, params in (
+                ("svm_train", dict(model="baseline", seed_offset=q)),
+                (
+                    "dba_train",
+                    dict(threshold=2, variant="M1", seed_offset=100 + q),
+                ),
+            ):
+                def key(**extra):
+                    return stage_key(
+                        stage,
+                        fingerprint=system.fingerprint,
+                        frontend=fe.name,
+                        params={**params, **extra},
+                    )
+
+                assert store.has(key(svm_solver=SVM_SOLVER))
+                assert not store.has(key())
 
 
 class TestCorruption:

@@ -86,6 +86,15 @@ class TestTracedPipeline:
         assert metrics["ngram.supervector.extracted"]["value"] > 0
         assert metrics["parallel.pmap.calls"]["value"] > 0
 
+    def test_one_gram_per_svm_training(self, traced_runlog):
+        """Each one-vs-rest fit builds its Gram once, under its
+        ``svm_training`` span, so perfbench charges it to SVM training."""
+        spans = traced_runlog.spans
+        trainings = {r["id"] for r in spans if r["name"] == "svm_training"}
+        grams = [r for r in spans if r["name"] == "svm.gram"]
+        assert trainings
+        assert sorted(r["parent"] for r in grams) == sorted(trainings)
+
     def test_render_covers_tree(self, traced_runlog):
         text = render_runlog(traced_runlog)
         for name in ("baseline", "dba", "decoding", "svm_training"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ngram.supervector import SupervectorLayout
 from repro.utils.sparse import SparseMatrix, SparseVector
 
 
@@ -133,11 +134,6 @@ class TestSparseMatrix:
             m.matvec_dense(np.ones(4)), [0.0, 3.0, 0.0]
         )
 
-    def test_matmul_matches_dense(self):
-        m, dense = self._matrix()
-        w = np.random.default_rng(0).normal(size=(9, 3))
-        np.testing.assert_allclose(m.matmul_dense(w), dense @ w)
-
     def test_row_roundtrip(self):
         m, dense = self._matrix()
         for i in range(m.n_rows):
@@ -162,7 +158,7 @@ class TestSparseMatrix:
 
     def test_gram_matches_dense(self):
         m, dense = self._matrix()
-        np.testing.assert_allclose(m.gram(m), dense @ dense.T)
+        np.testing.assert_allclose(m.gram(), dense @ dense.T)
 
     def test_empty_matrix_needs_dim(self):
         with pytest.raises(ValueError):
@@ -180,3 +176,71 @@ class TestSparseMatrix:
         b = SparseMatrix.from_rows([], dim=4)
         with pytest.raises(ValueError):
             a.vstack(b)
+
+
+def _random_rows(rng, n_rows: int, dim: int, nnz: int) -> SparseMatrix:
+    """Rows of ``nnz`` random entries each; every third row is empty."""
+    rows = []
+    for i in range(n_rows):
+        k = 0 if i % 3 == 1 else nnz
+        idx = np.sort(rng.choice(dim, size=k, replace=False))
+        rows.append(SparseVector(dim, idx, rng.exponential(size=k)))
+    return SparseMatrix.from_rows(rows, dim=dim)
+
+
+def _pairwise_dots(m: SparseMatrix) -> np.ndarray:
+    rows = list(m.iter_rows())
+    return np.array([[a.dot(b) for b in rows] for a in rows])
+
+
+class TestGram:
+    """``gram`` is the SVM trainer's kernel: X Xᵀ from the CSR arrays."""
+
+    def test_orders_one_to_three_without_densifying(self):
+        import tracemalloc
+
+        # A trigram-order supervector space over 64 phones: 266,304 dims.
+        dim = SupervectorLayout.build(64, (1, 2, 3)).dim
+        m = _random_rows(np.random.default_rng(0), 20, dim, 1500)
+        tracemalloc.start()
+        try:
+            gram = m.gram()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(gram, _pairwise_dots(m), rtol=1e-12)
+        assert np.array_equal(gram, gram.T)
+        # An n × dim float64 array would take 42.6 MB.
+        assert peak < m.n_rows * dim * 8 / 4
+
+    def test_empty_shapes(self):
+        assert SparseMatrix.from_rows([], dim=5).gram().shape == (0, 0)
+        empty_rows = SparseMatrix.from_rows(
+            [SparseVector.from_dict(5, {})] * 3
+        )
+        assert np.array_equal(empty_rows.gram(), np.zeros((3, 3)))
+
+
+class TestSegmentSums:
+    """``row_norms`` and ``matvec_dense`` keep the bits of ``np.add.at``."""
+
+    @staticmethod
+    def _add_at(m: SparseMatrix, per_entry: np.ndarray) -> np.ndarray:
+        out = np.zeros(m.n_rows, dtype=np.float64)
+        rows = np.repeat(np.arange(m.n_rows), np.diff(m.indptr))
+        np.add.at(out, rows, per_entry)
+        return out
+
+    # 0 rows; one row; empty rows inside; an empty last row (n_rows=8).
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 8])
+    def test_bytes_equal_add_at(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        m = _random_rows(rng, n_rows, 500, 60)
+        w = rng.normal(size=m.dim)
+        assert m.row_norms().tobytes() == np.sqrt(
+            self._add_at(m, m.values**2)
+        ).tobytes()
+        assert m.matvec_dense(w).tobytes() == self._add_at(
+            m, m.values * w[m.indices]
+        ).tobytes()
+        assert m.row_norms().shape == m.matvec_dense(w).shape == (n_rows,)

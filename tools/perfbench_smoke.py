@@ -11,6 +11,16 @@ result with ``correct: true`` and ``failed: 0``; a decoder change that
 breaks a workload's table check therefore fails here, not only when the
 benchmark itself is run.
 
+The deterministic per-op counters of each traced run (``stages_run``,
+``supervectors``, ``decoder_frames``, ``store_hits``) must also match
+``perfbench_counters.json`` beside this script.  A number there is
+exact.  A ``[low, high]`` pair is an inclusive range, for a counter
+whose per-op mean depends on how many ops fit in the window: the
+acoustic corpora of seed 1 decode 3936, 4014 and 3942 frames per op,
+and a served request extracts one supervector per frontend (6) unless
+the score cache answers it.  ``sv_nnz_mean`` is a window mean over
+corpora of different sizes and is not checked.
+
 Exit status: 0 when every workload passes, 1 otherwise.
 """
 
@@ -23,6 +33,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+EXPECTED_COUNTERS = Path(__file__).with_name("perfbench_counters.json")
 WORKLOADS = (
     "campaign_cold", "campaign_warm", "campaign_acoustic", "serve_open_loop",
 )
@@ -52,7 +63,19 @@ def run_workload(name: str, seconds: float) -> str | None:
             f"correct={result.get('correct')} failed={result.get('failed')}"
             f" of {result.get('attempted')}\n{proc.stderr[-2000:]}"
         )
-    return None
+    return counter_mismatches(name, result["metrics"])
+
+
+def counter_mismatches(name: str, metrics: dict) -> str | None:
+    """``None`` if every expected counter of ``name`` holds, else which not."""
+    expected = json.loads(EXPECTED_COUNTERS.read_text())[name]
+    wrong = []
+    for counter, want in expected.items():
+        low, high = want if isinstance(want, list) else (want, want)
+        got = metrics[counter]["value"]
+        if not low <= got <= high:
+            wrong.append(f"{counter}={got} (expected {want})")
+    return "counters " + ", ".join(wrong) if wrong else None
 
 
 def main(argv: list[str] | None = None) -> int:
