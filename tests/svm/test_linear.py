@@ -123,6 +123,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinearSVC().fit(SparseMatrix.from_rows([], dim=2), np.empty(0))
 
+    def test_gram_shape(self, separable):
+        x, y = separable
+        with pytest.raises(ValueError, match="gram must be"):
+            LinearSVC().fit(x, y, gram=np.zeros((x.n_rows + 1, x.n_rows)))
+
     def test_unfitted_scoring(self, separable):
         x, _ = separable
         with pytest.raises(RuntimeError):
