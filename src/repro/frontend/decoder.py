@@ -135,15 +135,18 @@ class _DPTables:
     log_self: np.ndarray  # 0-d self-loop log-prob
     log_leave: np.ndarray  # 0-d within-phone advance log-prob
     cross: np.ndarray  # (P, P) exit of phone p -> entry of phone q
+    cross_t: np.ndarray  # (P, P) ``cross.T``, contiguous: rows are targets
 
     @classmethod
     def build(cls, hmms: PhoneHMMSet, dt: np.dtype) -> "_DPTables":
         log_self, log_leave, cross = hmms.transition_blocks()
+        cross = np.asarray(cross, dtype=dt)
         return cls(
             init=hmms.initial_log_probs().astype(dt),
             log_self=np.asarray(log_self, dtype=dt),
             log_leave=np.asarray(log_leave, dtype=dt),
-            cross=np.asarray(cross, dtype=dt),
+            cross=cross,
+            cross_t=np.ascontiguousarray(cross.T),
         )
 
 
@@ -280,6 +283,7 @@ class ViterbiDecoder:
         idx = np.arange(n_states, dtype=np.int32)
         is_entry = idx % s == 0
         live = lengths[:, None] > np.arange(t_end)  # (B, T): frame in row
+        rows, phones = np.arange(b)[:, None], np.arange(self.hmms.n_phones)
 
         delta = tab.init[None, :] + log_likelihood[:, 0]
         bp = np.zeros((b, t_end, n_states), dtype=np.int32)
@@ -291,10 +295,13 @@ class ViterbiDecoder:
         for t in range(1, t_end):
             stay = delta + tab.log_self
             arcs[:, 1:] = delta[:, :-1] + tab.log_leave
-            cross_scores = delta[:, exits, None] + tab.cross  # (B, P, P)
-            from_phone = np.argmax(cross_scores, axis=1)  # (B, P)
-            # The max is the value at the argmax, NaN included.
-            arcs[:, entries] = cross_scores.max(axis=1)
+            d_exit = delta[:, exits]
+            # (B, P_to, P_from): one argmax over the contiguous last axis.
+            from_phone = np.argmax(d_exit[:, None, :] + tab.cross_t, axis=2)
+            # The max is the same add at the argmax, NaN included.
+            arcs[:, entries] = d_exit[rows, from_phone] + tab.cross[
+                from_phone, phones
+            ]
             pred[:, entries] = from_phone * s + (s - 1)
             take = arcs > stay
             bp[:, t] = np.where(take, pred, idx)
@@ -377,7 +384,7 @@ class ViterbiDecoder:
         s = self.hmms.states_per_phone
         entries, exits = slice(0, None, s), slice(s - 1, None, s)
         fwd = _cross_weights(tab.cross)
-        bwd = _cross_weights(np.ascontiguousarray(tab.cross.T))
+        bwd = _cross_weights(tab.cross_t)
 
         alpha = np.empty((b, t_max, n_states), dtype=dt)
         beta = np.empty((b, t_max, n_states), dtype=dt)

@@ -8,8 +8,12 @@ phonotactic scores as a reusable representation — score the *same*
 utterances repeatedly, so the serving engine memoises, per utterance
 digest, the ``(N, K)`` stack of raw subsystem scores.  A warm hit skips
 decode, φ(x) and the SVM product entirely; only the (cheap) calibration
-backend reruns, so calibration stays consistent however the batch is
-composed.
+backend reruns, and its rows do not depend on the batch they are fused
+in.  The engine therefore looks a submitted request up at admission and
+answers a hit there, on the submitting thread, without waiting for the
+batch window; only misses are queued and batched.  Each request gets
+one counted lookup: a hit at admission, or the batch's lookup for a
+request admission did not find.
 
 Recency bookkeeping is :class:`repro.utils.lru.LruTracker`.  All
 methods are thread-safe — the HTTP server scores from multiple threads.
@@ -73,12 +77,17 @@ class ScoreCache:
         with self._lock:
             return key in self._store
 
-    def get(self, key: str) -> np.ndarray | None:
-        """Look up a digest; counts a hit or a miss."""
+    def get(self, key: str, *, count_miss: bool = True) -> np.ndarray | None:
+        """Look up a digest; counts a hit, or a miss if ``count_miss``.
+
+        ``count_miss=False`` is the engine's admission lookup: a miss
+        there is counted later, by the batch that scores the request.
+        """
         with self._lock:
             value = self._store.get(key)
             if value is None:
-                self._misses.inc()
+                if count_miss:
+                    self._misses.inc()
                 return None
             self._hits.inc()
             self._lru.touch(key)

@@ -10,17 +10,24 @@ fused_scores` on the same utterances.
 Two throughput mechanisms sit on the hot path:
 
 **Micro-batching.**  Requests submitted via :meth:`ScoringEngine.submit`
-are queued; a batcher thread flushes the queue as one matrix-level pass
-(``VSM.score_matrix`` over the whole batch) once either ``max_batch``
-requests are waiting or the oldest request has waited ``batch_window``
-seconds.  Batching turns K×N per-utterance SVM products into a handful
-of matrix products, the same economy the paper's Eq. 9 formulation
-exploits offline.
+that the score cache cannot answer are queued; a batcher thread flushes
+the queue as one matrix-level pass (``VSM.score_matrix`` over the whole
+batch) once either ``max_batch`` requests are waiting or the oldest
+request has waited ``batch_window`` seconds.  Batching turns K×N
+per-utterance SVM products into a handful of matrix products, the same
+economy the paper's Eq. 9 formulation exploits offline.  A batch
+decodes, extracts and scores each distinct utterance digest once.
 
 **Supervector caching.**  Per-utterance raw subsystem scores are
 memoised in a :class:`~repro.serve.cache.ScoreCache` keyed by utterance
 digest, so repeated scoring (the DBA/transductive access pattern) skips
 decode + φ(x) + SVM product entirely and only reruns calibration.
+:meth:`ScoringEngine.submit` looks the cache up at admission: a hit is
+fused on the submitting thread and its future resolves before
+``submit`` returns (``serve.cache.admitted``), so it never waits out the
+batch window nor takes a queue slot.  A cached stack is always complete,
+so a hit gets the full LDA-MMI calibration even while a breaker is
+open.  Only misses reach the batcher.
 
 Four hardening mechanisms keep the engine answering under overload and
 partial failure:
@@ -290,6 +297,7 @@ class ScoringEngine:
         self._breakers = {fe.name: _Breaker() for fe in self._active}
         self._last_dead: frozenset[str] = frozenset()
         self._requests = self.metrics.counter("serve.requests")
+        self._admitted = self.metrics.counter("serve.cache.admitted")
         self._batches = self.metrics.counter("serve.batches")
         self._batched_requests = self.metrics.counter("serve.batched_requests")
         self._rejected = self.metrics.counter("serve.rejected")
@@ -382,16 +390,25 @@ class ScoringEngine:
     def submit(
         self, utterance: Utterance, *, deadline: float | None = None
     ) -> Future:
-        """Queue one utterance; the future resolves to its ``(K,)`` scores.
+        """Score one utterance; the future resolves to its ``(K,)`` scores.
 
-        Requests from concurrent callers coalesce into shared matrix
-        batches.  The engine is started on first use.  ``deadline``
-        (seconds, default: the engine's ``deadline``) bounds how long
-        the request may wait: expired requests fail with
-        :class:`DeadlineExceededError` instead of occupying batch
-        capacity.  Raises :class:`QueueFullError` without enqueueing
-        when ``max_queue`` requests are already waiting.
+        A score-cache hit is fused here and returned already resolved.
+        Misses are queued, and requests from concurrent callers coalesce
+        into shared matrix batches.  The engine is started on first
+        use.  ``deadline`` (seconds, default: the engine's ``deadline``)
+        bounds how long a queued request may wait: expired requests
+        fail with :class:`DeadlineExceededError` instead of occupying
+        batch capacity.  Raises :class:`QueueFullError` without
+        enqueueing a miss when ``max_queue`` requests are already
+        waiting.
         """
+        if self._closed:
+            raise EngineClosedError("engine is closed")
+        if self._cache_enabled:
+            digest = utterance_digest(utterance)
+            stack = self.cache.get(digest, count_miss=False)
+            if stack is not None:
+                return self._answer_hit(stack)
         request = _Request(
             utterance, deadline if deadline is not None else self.deadline
         )
@@ -411,6 +428,18 @@ class ScoringEngine:
             self._queue_depth.set(len(self._queue))
             self._cv.notify_all()
         return request.future
+
+    def _answer_hit(self, stack: np.ndarray) -> Future:
+        """Fuse one cached ``(N, K)`` stack and return it as a done future."""
+        t0 = time.monotonic()
+        with self._stage("fusion"):
+            row = self.trained.fusion.transform([s[None, :] for s in stack])[0]
+        future: Future = Future()
+        future.set_result(row)
+        self._requests.inc()
+        self._admitted.inc()
+        self._request_latency.observe(time.monotonic() - t0)
+        return future
 
     def score_utterances(self, utterances: Sequence[Utterance]) -> np.ndarray:
         """Synchronously score a batch; returns ``(m, K)`` calibrated scores.
@@ -619,6 +648,10 @@ class ScoringEngine:
     def _score_batch(self, utterances: list[Utterance]) -> np.ndarray:
         """One matrix-level pass: cache → decode/φ/SVM for misses → fuse.
 
+        Every utterance gets one counted cache lookup; each distinct
+        missing digest is decoded, extracted and scored once and its
+        rows scattered back to every request that carries it.
+
         Frontends whose decode/extract fails (or whose breaker is open)
         are dropped for the batch; if any subsystem is missing, fusion
         falls back to the Eq. 20 linear combination of the surviving
@@ -637,10 +670,15 @@ class ScoringEngine:
             if self._cache_enabled
             else [None] * len(digests)
         )
-        miss_idx = [i for i, s in enumerate(stacks) if s is None]
+        # One row per distinct missing digest, in batch order.
+        miss_row: dict[str, int] = {}
+        miss_utts: list[Utterance] = []
+        for utterance, digest, stack in zip(utterances, digests, stacks):
+            if stack is None and digest not in miss_row:
+                miss_row[digest] = len(miss_utts)
+                miss_utts.append(utterance)
         dead: set[str] = set()
-        if miss_idx:
-            miss_utts = [utterances[i] for i in miss_idx]
+        if miss_utts:
             audio = float(sum(u.duration for u in miss_utts))
             seed = self.trained.config.system.seed
             raw_by_frontend = {}
@@ -689,12 +727,15 @@ class ScoringEngine:
                     computed[:, q, :] = vsm.score_matrix(
                         raw_by_frontend[fe_name]
                     )
-            for row, i in enumerate(miss_idx):
-                stacks[i] = computed[row]
-                # Partial stacks would poison warm requests after the
-                # frontend recovers — only complete stacks are cached.
-                if self._cache_enabled and not dead:
-                    self.cache.put(digests[i], computed[row])
+            # Partial stacks would poison warm requests after the
+            # frontend recovers — only complete stacks are cached.
+            if self._cache_enabled and not dead:
+                for digest, row in miss_row.items():
+                    self.cache.put(digest, computed[row])
+            stacks = [
+                computed[miss_row[digest]] if stack is None else stack
+                for digest, stack in zip(digests, stacks)
+            ]
         with self._breaker_lock:
             self._last_dead = frozenset(dead)
         full = np.stack(stacks)  # (m, N, K)
@@ -743,7 +784,10 @@ class ScoringEngine:
         with total elapsed seconds, call counts and p50/p95 per-batch
         latency in milliseconds; ``latency_ms`` is the end-to-end
         per-request distribution (queue wait included for the submitted
-        path).  The overload/degradation keys (``rejected``,
+        path, fusion alone for hits answered at admission).
+        ``mean_batch_size`` counts batched requests only, so admission
+        hits (``serve.cache.admitted``) do not inflate it.  The
+        overload/degradation keys (``rejected``,
         ``expired``, ``cancelled``, ``batcher_restarts``, ``degraded``,
         ``breaker``) surface the hardening counters; all flat keys are
         views over the ``serve.*`` instruments whose full registry

@@ -451,6 +451,26 @@ class TestOracleDifferential:
         decoder = lattice_decoder(**dp, posterior_mode=mode, beam=beam)
         _assert_dp_matches_oracle(decoder, frames)
 
+    def test_asymmetric_bigram_matches_oracle(self):
+        # ``lattice_decoder``'s bigram is symmetric, so it cannot tell
+        # ``cross[p, q]`` from ``cross[q, p]``; a sampled one can.
+        rng = np.random.default_rng(5)
+        for n_phones, s in ((10, 2), (7, 3)):
+            bigram = np.log(rng.dirichlet(np.full(n_phones, 0.3), n_phones))
+            hmms = PhoneHMMSet(
+                n_phones, s, LatticeEmission(n_phones * s), self_loop=0.3,
+                phone_log_bigram=bigram,
+            )
+            assert not np.allclose(bigram, bigram.T)
+            phone_set = PhoneSet(
+                f"t{n_phones}", tuple(f"p{i}" for i in range(n_phones))
+            )
+            decoder = ViterbiDecoder(hmms, phone_set, DecoderConfig())
+            frames = [
+                rng.normal(0, 2, size=(n, n_phones * s)) for n in (30, 11, 1)
+            ]
+            _assert_dp_matches_oracle(decoder, frames)
+
     def test_neg_inf_frames_match_oracle_pattern(self):
         # A frame where every state scores -inf leaves its utterance
         # without a path (all-NaN posteriors); one where only some do

@@ -57,6 +57,17 @@ class TestScoreCache:
         assert stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
 
+    def test_uncounted_miss_lookup(self):
+        cache = ScoreCache(max_entries=2)
+        assert cache.get("k", count_miss=False) is None
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 0)
+        cache.put("k", np.ones(1))
+        cache.put("j", np.ones(1))
+        assert cache.get("k", count_miss=False) is not None
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 0)
+        cache.put("i", np.ones(1))  # the hit touched "k": "j" is evicted
+        assert "k" in cache and "j" not in cache
+
     def test_eviction_follows_recency(self):
         cache = ScoreCache(max_entries=2)
         cache.put("a", np.zeros(1))

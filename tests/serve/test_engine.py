@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import TimeoutError as FutureTimeoutError
+
 import numpy as np
 import pytest
 
+import repro.serve.engine as engine_module
 from repro.serve import ScoringEngine
-from repro.serve.engine import STAGE_NAMES
+from repro.serve.engine import STAGE_NAMES, EngineClosedError, QueueFullError
 from tests.tracing import traced_stages
 
 
@@ -83,6 +88,176 @@ class TestCacheBehaviour:
         engine = ScoringEngine(serve_trained, cache_entries=2)
         engine.score_utterances(dev_utterances[:4])
         assert engine.stats()["cache"]["entries"] == 2
+
+    @staticmethod
+    def _spy_decodes(monkeypatch) -> list[str]:
+        """Record the utt_id of every utterance the engine decodes."""
+        decoded: list[str] = []
+        real = engine_module.decode_utterances
+
+        def spy(frontend, seed, utterances):
+            decoded.extend(u.utt_id for u in utterances)
+            return real(frontend, seed, utterances)
+
+        monkeypatch.setattr(engine_module, "decode_utterances", spy)
+        return decoded
+
+    @pytest.mark.parametrize("cache_entries", [0, 512])
+    def test_repeats_in_one_batch_decode_once(
+        self, serve_trained, dev_utterances, monkeypatch, cache_entries
+    ):
+        a, b = dev_utterances[:2]
+        reference = ScoringEngine(
+            serve_trained, cache_entries=0
+        ).score_utterances([a, b])
+        decoded = self._spy_decodes(monkeypatch)
+        engine = ScoringEngine(
+            serve_trained, cache_entries=cache_entries, workers=1
+        )
+        rows = engine.score_utterances([a, b, a, a])
+        n_frontends = len(serve_trained.frontends)
+        assert sorted(decoded) == sorted([a.utt_id, b.utt_id] * n_frontends)
+        assert rows.tobytes() == reference[[0, 1, 0, 0]].tobytes()
+        cache = engine.stats()["cache"]
+        if cache_entries:
+            # One counted lookup per request, repeats included.
+            assert (cache["hits"], cache["misses"]) == (0, 4)
+
+    def test_queued_repeats_share_one_decode(
+        self, serve_trained, dev_utterances, monkeypatch
+    ):
+        utt = dev_utterances[0]
+        reference = ScoringEngine(
+            serve_trained, cache_entries=0
+        ).score_utterances([utt])
+        decoded = self._spy_decodes(monkeypatch)
+        with ScoringEngine(
+            serve_trained, batch_window=0.25, max_batch=64, workers=1
+        ) as engine:
+            futures = [engine.submit(utt) for _ in range(2)]
+            rows = [f.result(timeout=60) for f in futures]
+            stats = engine.stats()
+        assert stats["batches"] == 1
+        assert decoded == [utt.utt_id] * len(serve_trained.frontends)
+        for row in rows:
+            assert row.tobytes() == reference[0].tobytes()
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (0, 2)
+
+
+class TestAdmission:
+    """Score-cache hits are answered in ``submit``, misses are batched."""
+
+    def test_hit_resolves_before_the_window(
+        self, serve_trained, dev_utterances
+    ):
+        hit, miss = dev_utterances[:2]
+        engine = ScoringEngine(serve_trained, batch_window=30.0, max_batch=64)
+        warm = engine.score_utterances([hit])
+        try:
+            future = engine.submit(hit)
+            assert future.done()
+            assert future.result(timeout=0).tobytes() == warm[0].tobytes()
+            pending = engine.submit(miss)
+            with pytest.raises(FutureTimeoutError):
+                pending.result(timeout=0.5)  # waits for the 30 s window
+        finally:
+            engine.close()
+        assert pending.result(timeout=60).shape == (len(engine.languages),)
+
+    def test_closed_engine_refuses_a_hit(self, serve_trained, dev_utterances):
+        engine = ScoringEngine(serve_trained)
+        engine.score_utterances(dev_utterances[:1])
+        engine.close()
+        with pytest.raises(EngineClosedError):
+            engine.submit(dev_utterances[0])
+
+    def test_full_queue_still_answers_a_hit(
+        self, serve_trained, dev_utterances
+    ):
+        engine = ScoringEngine(
+            serve_trained, batch_window=30.0, max_batch=64, max_queue=1
+        )
+        warm = engine.score_utterances(dev_utterances[:1])
+        try:
+            queued = engine.submit(dev_utterances[1])
+            with pytest.raises(QueueFullError):
+                engine.submit(dev_utterances[2])
+            row = engine.submit(dev_utterances[0]).result(timeout=0)
+            assert row.tobytes() == warm[0].tobytes()
+        finally:
+            engine.close()
+        assert queued.result(timeout=60).shape == (len(engine.languages),)
+
+    def test_stats_count_admitted_hits_outside_batches(
+        self, serve_trained, dev_utterances
+    ):
+        utts = dev_utterances[:2]
+        with ScoringEngine(serve_trained) as engine:
+            engine.score_utterances(utts)  # one batch of two misses
+            for u in utts:
+                engine.submit(u).result(timeout=0)
+            stats = engine.stats()
+        assert stats["metrics"]["serve.cache.admitted"]["value"] == 2
+        assert stats["requests"] == 4
+        assert stats["batches"] == 1
+        assert stats["mean_batch_size"] == pytest.approx(2.0)
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == 4
+        assert stats["stages"]["fusion"]["calls"] == 3
+
+    def test_concurrent_admission_counts_each_request_once(
+        self, serve_trained, dev_utterances
+    ):
+        """More submitters than cores, fast thread switching."""
+        reference = ScoringEngine(
+            serve_trained, cache_entries=0
+        ).score_utterances(dev_utterances)
+        engine = ScoringEngine(serve_trained, batch_window=0.005, max_batch=4)
+        engine.score_utterances(dev_utterances[:3])  # half warm
+        errors: list[str] = []
+
+        def submitter():
+            futures = [engine.submit(u) for u in dev_utterances * 2]
+            for i, future in enumerate(futures):
+                row = future.result(timeout=120)
+                expected = reference[i % len(dev_utterances)]
+                if row.tobytes() != expected.tobytes():
+                    errors.append(f"row {i} diverged")
+
+        threads = [threading.Thread(target=submitter) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        total = 3 + 8 * 2 * len(dev_utterances)
+        stats = engine.stats()
+        metrics = stats["metrics"]
+        assert stats["requests"] == total
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == total
+        assert (
+            metrics["serve.cache.admitted"]["value"]
+            + metrics["serve.batched_requests"]["value"]
+            == total
+        )
+
+    def test_cache_disabled_queues_every_request(
+        self, serve_trained, dev_utterances
+    ):
+        with ScoringEngine(
+            serve_trained, batch_window=0.0, cache_entries=0
+        ) as engine:
+            for _ in range(2):
+                engine.submit(dev_utterances[0]).result(timeout=60)
+            stats = engine.stats()
+        assert stats["metrics"]["serve.cache.admitted"]["value"] == 0
+        assert stats["batches"] == 2
 
 
 class TestMicroBatching:
