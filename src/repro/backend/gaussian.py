@@ -12,11 +12,23 @@ of 0 corresponds to the NIST detection task's flat-prior operating point.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.validation import check_matrix
 
 __all__ = ["GaussianBackend"]
+
+
+@lru_cache(maxsize=None)
+def _others(k: int) -> np.ndarray:
+    """``(K, K-1)`` column indices: row ``c`` lists every class but ``c``."""
+    idx = np.array(
+        [[j for j in range(k) if j != c] for c in range(k)], dtype=np.intp
+    )
+    idx.setflags(write=False)
+    return idx
 
 
 class GaussianBackend:
@@ -129,8 +141,12 @@ class GaussianBackend:
         ll = self.log_likelihoods(x)
         n, k = ll.shape
         out = np.empty_like(ll)
+        # ``take`` gathers into a fresh C-ordered block, the layout an
+        # ``np.delete`` copy has, so the row reductions keep their bits
+        # (``ll[:, idx]`` comes back F-ordered and sums differently).
+        index = _others(k)
         for c in range(k):
-            others = np.delete(ll, c, axis=1)
+            others = ll.take(index[c], axis=1)
             m = others.max(axis=1, keepdims=True)
             denom = m[:, 0] + np.log(
                 np.exp(others - m).sum(axis=1) / (k - 1)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend.gaussian import GaussianBackend
+from tests.oracles.gaussian import detection_scores_reference
 
 
 def blobs(rng, k=3, dim=4, n_per=60, sep=4.0):
@@ -85,3 +88,32 @@ class TestScoring:
             1.0 / 1.0 + 4.0 / 4.0 + np.log(4.0) + 2 * np.log(2 * np.pi)
         )
         assert gb.log_likelihoods(x)[0, 0] == pytest.approx(expected)
+
+
+class TestDetectionScoresOracle:
+    """The ``take`` gather reproduces the ``np.delete`` loop's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(2, 33),
+        n=st.integers(1, 100),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+        neg_inf=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_delete_loop(self, k, n, scale, neg_inf, seed):
+        rng = np.random.default_rng(seed)
+        ll = rng.normal(0.0, scale, size=(n, k)) - scale
+        ll[rng.random((n, k)) < neg_inf] = -np.inf
+        gb = GaussianBackend()
+        gb.log_likelihoods = lambda x: ll  # score this exact matrix
+        with np.errstate(invalid="ignore"):  # rows of all -inf give NaN
+            got = gb.detection_scores(np.zeros((n, 1)))
+            expected = detection_scores_reference(ll)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_fitted_backend_matches_the_delete_loop(self, rng):
+        x, labels, _ = blobs(rng, k=9, dim=8)
+        gb = GaussianBackend().fit(x, labels)
+        expected = detection_scores_reference(gb.log_likelihoods(x))
+        assert gb.detection_scores(x).tobytes() == expected.tobytes()
