@@ -1,15 +1,16 @@
-"""Serving throughput — micro-batching and supervector-cache economics.
+"""Serving throughput — micro-batching and score-cache economics.
 
 The online service (:mod:`repro.serve`) claims two speed mechanisms on
 top of the offline pipeline: matrix-level micro-batching of the SVM
-product and an LRU cache of per-utterance subsystem scores.  This bench
-measures both over an exported baseline system:
+product and an LRU cache of the calibrated row served per utterance.
+This bench measures both over an exported baseline system:
 
 - single-utterance p95 latency through the synchronous scoring path
   (the floor an interactive caller sees on a cold cache);
 - batched throughput with a cold cache vs a warm cache.  A warm hit
-  skips decode + φ(x) + SVM product (Table 5's dominant stages), so the
-  warm pass must be at least 5x faster — asserted below, together with
+  skips decode + φ(x) + SVM product (Table 5's dominant stages) and
+  fusion, so the warm pass must be at least 5x faster and add no
+  ``decoding`` or ``fusion`` stage call — asserted below, together with
   nonzero cache-hit accounting in the engine's ``stats()``.
 
 Latency percentiles are reported **per path**: a blended p95 over both
@@ -90,12 +91,13 @@ def test_serve_batched_throughput_cold_vs_warm(
                 "samples"
             ]
         )
+        cold_stages = engine.stats()["stages"]
         warm_scores = engine.score_utterances(batch)
         t2 = time.perf_counter()
         assert (cold_scores == warm_scores).all()
-        return t1 - t0, t2 - t1, cold_n
+        return t1 - t0, t2 - t1, cold_n, cold_stages
 
-    cold_s, warm_s, cold_n = benchmark.pedantic(
+    cold_s, warm_s, cold_n, cold_stages = benchmark.pedantic(
         cold_then_warm, rounds=1, iterations=1
     )
     stats = engine.stats()
@@ -135,3 +137,6 @@ def test_serve_batched_throughput_cold_vs_warm(
     assert speedup >= 5.0
     assert stats["cache"]["hits"] == n
     assert stats["cache"]["misses"] == n
+    # Every warm row comes from the cache: nothing decoded, nothing fused.
+    for stage in ("decoding", "fusion"):
+        assert stats["stages"][stage]["calls"] == cold_stages[stage]["calls"]

@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument(
         "--cache-entries", type=int, default=512,
-        help="supervector-score cache bound (0 disables)",
+        help="score cache bound (0 disables)",
     )
     p.add_argument(
         "--workers", type=int, default=0,

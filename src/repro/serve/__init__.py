@@ -8,7 +8,7 @@ service:
   components (recognizers, VSMs, fusion backend) with a config
   fingerprint that hard-fails on drift;
 - :mod:`repro.serve.engine` — micro-batched scoring with an LRU
-  supervector-score cache and Table-5-style per-stage telemetry;
+  cache of served score rows and Table-5-style per-stage telemetry;
 - :mod:`repro.serve.cache` — the bounded thread-safe score cache;
 - :mod:`repro.serve.protocol` — the JSON wire format for utterances and
   the digest function behind cache keys;

@@ -1,19 +1,21 @@
-"""In-memory LRU cache of per-utterance subsystem scores.
+"""In-memory LRU cache of served score rows, keyed by utterance digest.
 
 Decoding + supervector extraction is the dominant cost of scoring an
 utterance (the φ(x) work of the paper's Eqs. 16–19; Table 5 shows
 decoding at ~two orders of magnitude above the SVM product).  The DBA
-and transductive workloads — and any downstream consumer that treats
-phonotactic scores as a reusable representation — score the *same*
-utterances repeatedly, so the serving engine memoises, per utterance
-digest, the ``(N, K)`` stack of raw subsystem scores.  A warm hit skips
-decode, φ(x) and the SVM product entirely; only the (cheap) calibration
-backend reruns, and its rows do not depend on the batch they are fused
-in.  The engine therefore looks a submitted request up at admission and
-answers a hit there, on the submitting thread, without waiting for the
-batch window; only misses are queued and batched.  Each request gets
-one counted lookup: a hit at admission, or the batch's lookup for a
-request admission did not find.
+and transductive workloads — and any downstream consumer that re-scores
+a corpus — score the *same* utterances repeatedly, so the serving
+engine memoises, per utterance digest, the calibrated ``(K,)`` row it
+served.  The row depends only on the utterance and the engine's fixed
+fusion backend, whose rows do not depend on the batch they are fused
+in, so a hit is final: it skips decode, φ(x), the SVM product and the
+calibration backend alike, and costs a lookup and a copy.  The engine
+looks a submitted request up at admission and answers a hit there, on
+the submitting thread, without waiting for the batch window; only
+misses are queued and batched.  Each request gets one counted lookup:
+a hit at admission, or the batch's lookup for a request admission did
+not find.  Rows fused from a degraded batch (a frontend down) are never
+stored, so every hit is the full LDA-MMI row.
 
 Recency bookkeeping is :class:`repro.utils.lru.LruTracker`.  All
 methods are thread-safe — the HTTP server scores from multiple threads.
@@ -38,13 +40,13 @@ __all__ = ["ScoreCache"]
 
 
 class ScoreCache:
-    """Bounded, thread-safe LRU mapping utterance digests to score stacks.
+    """Bounded, thread-safe LRU mapping utterance digests to score rows.
 
     Parameters
     ----------
     max_entries:
-        Size bound; ``None`` disables eviction.  Stored values are
-        ``(n_subsystems, n_classes)`` float arrays.
+        Size bound; ``None`` disables eviction.  Stored values are the
+        engine's served ``(n_classes,)`` float rows.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` to publish
         hit/miss counters into; ``None`` creates a private one.
@@ -94,7 +96,7 @@ class ScoreCache:
             return value
 
     def put(self, key: str, value: np.ndarray) -> None:
-        """Insert a score stack, evicting the least recently used.
+        """Insert a score row, evicting the least recently used.
 
         The value is copied and frozen (``writeable=False``): callers
         often hand in views of a large batch matrix, and storing the

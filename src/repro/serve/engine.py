@@ -1,4 +1,4 @@
-"""The online scoring engine: micro-batching + supervector caching.
+"""The online scoring engine: micro-batching + score-row caching.
 
 :class:`ScoringEngine` wraps a loaded
 :class:`~repro.serve.artifacts.TrainedSystem` and scores utterances the
@@ -18,16 +18,18 @@ per-utterance SVM products into a handful of matrix products, the same
 economy the paper's Eq. 9 formulation exploits offline.  A batch
 decodes, extracts and scores each distinct utterance digest once.
 
-**Supervector caching.**  Per-utterance raw subsystem scores are
-memoised in a :class:`~repro.serve.cache.ScoreCache` keyed by utterance
-digest, so repeated scoring (the DBA/transductive access pattern) skips
-decode + φ(x) + SVM product entirely and only reruns calibration.
-:meth:`ScoringEngine.submit` looks the cache up at admission: a hit is
-fused on the submitting thread and its future resolves before
-``submit`` returns (``serve.cache.admitted``), so it never waits out the
-batch window nor takes a queue slot.  A cached stack is always complete,
-so a hit gets the full LDA-MMI calibration even while a breaker is
-open.  Only misses reach the batcher.
+**Score-row caching.**  The calibrated ``(K,)`` row served for an
+utterance is memoised in a :class:`~repro.serve.cache.ScoreCache` keyed
+by utterance digest, so repeated scoring (the DBA/transductive access
+pattern) skips decode + φ(x) + SVM product + calibration entirely: a
+hit is a lookup and a copy.  :meth:`ScoringEngine.submit` looks the
+cache up at admission and a hit's future resolves before ``submit``
+returns (``serve.cache.admitted``), so it never waits out the batch
+window nor takes a queue slot.  A batch fuses only its misses and
+scatters cached rows back to its hits.  Only full LDA-MMI rows are
+cached, so a hit gets the full calibration even while a breaker is
+open, at admission and inside a degraded batch alike.  Only misses
+reach the batcher.
 
 Four hardening mechanisms keep the engine answering under overload and
 partial failure:
@@ -59,7 +61,7 @@ when one probe batch is allowed through (half-open).  Batches scored
 with dead subsystems fall back to the paper's Eq. 20 *linear* fusion
 restricted to the surviving subsystems, with the fitted fusion weights
 renormalised over the survivors; such responses are flagged degraded
-and their partial score stacks are **not** cached, so recovery restores
+and their partial rows are **not** cached, so recovery restores
 bitwise-identical output.
 
 Each stage of a scoring pass opens a :mod:`repro.obs.trace` span named
@@ -198,7 +200,7 @@ class ScoringEngine:
         Flush immediately once this many requests are queued; also the
         matrix-batch size of the synchronous path.
     cache_entries:
-        Size bound of the supervector-score cache (``None`` unbounded,
+        Size bound of the score cache, in rows (``None`` unbounded,
         ``0`` disables caching).
     workers:
         Decode fan-out width for :func:`repro.utils.parallel.pmap`;
@@ -392,7 +394,7 @@ class ScoringEngine:
     ) -> Future:
         """Score one utterance; the future resolves to its ``(K,)`` scores.
 
-        A score-cache hit is fused here and returned already resolved.
+        A score-cache hit is returned here, already resolved.
         Misses are queued, and requests from concurrent callers coalesce
         into shared matrix batches.  The engine is started on first
         use.  ``deadline`` (seconds, default: the engine's ``deadline``)
@@ -406,9 +408,9 @@ class ScoringEngine:
             raise EngineClosedError("engine is closed")
         if self._cache_enabled:
             digest = utterance_digest(utterance)
-            stack = self.cache.get(digest, count_miss=False)
-            if stack is not None:
-                return self._answer_hit(stack)
+            row = self.cache.get(digest, count_miss=False)
+            if row is not None:
+                return self._answer_hit(row)
         request = _Request(
             utterance, deadline if deadline is not None else self.deadline
         )
@@ -429,13 +431,11 @@ class ScoringEngine:
             self._cv.notify_all()
         return request.future
 
-    def _answer_hit(self, stack: np.ndarray) -> Future:
-        """Fuse one cached ``(N, K)`` stack and return it as a done future."""
+    def _answer_hit(self, row: np.ndarray) -> Future:
+        """A done future holding a caller-owned copy of a cached row."""
         t0 = time.monotonic()
-        with self._stage("fusion"):
-            row = self.trained.fusion.transform([s[None, :] for s in stack])[0]
         future: Future = Future()
-        future.set_result(row)
+        future.set_result(row.copy())
         self._requests.inc()
         self._admitted.inc()
         self._request_latency.observe(time.monotonic() - t0)
@@ -646,26 +646,26 @@ class ScoringEngine:
             self._stage_hist[name].observe(time.perf_counter() - start)
 
     def _score_batch(self, utterances: list[Utterance]) -> np.ndarray:
-        """One matrix-level pass: cache → decode/φ/SVM for misses → fuse.
+        """One matrix-level pass: cache → score and fuse misses → scatter.
 
         Every utterance gets one counted cache lookup; each distinct
-        missing digest is decoded, extracted and scored once and its
-        rows scattered back to every request that carries it.
+        missing digest is decoded, extracted, scored and fused once and
+        its row scattered back to every request that carries it.  Hits
+        take their cached row as it is: only misses are fused.
 
         Frontends whose decode/extract fails (or whose breaker is open)
-        are dropped for the batch; if any subsystem is missing, fusion
-        falls back to the Eq. 20 linear combination of the surviving
-        subsystems' scores under renormalised fusion weights, the batch
-        is flagged degraded and its partial stacks stay out of the
-        cache.  With every frontend healthy the pass is byte-for-byte
-        the historical one (full LDA-MMI calibration, cache writes).
+        are dropped for the batch; if any subsystem is missing, the
+        misses are fused by the Eq. 20 linear combination of the
+        surviving subsystems' scores under renormalised fusion weights,
+        the batch is flagged degraded and its partial rows stay out of
+        the cache.  With every frontend healthy each miss gets the full
+        LDA-MMI row, which is cached.
         """
-        n_sub = len(self.trained.subsystems)
         n_classes = self.trained.n_classes
         if not utterances:
             return np.zeros((0, n_classes))
         digests = [utterance_digest(u) for u in utterances]
-        stacks: list[np.ndarray | None] = (
+        cached: list[np.ndarray | None] = (
             [self.cache.get(d) for d in digests]
             if self._cache_enabled
             else [None] * len(digests)
@@ -673,8 +673,8 @@ class ScoringEngine:
         # One row per distinct missing digest, in batch order.
         miss_row: dict[str, int] = {}
         miss_utts: list[Utterance] = []
-        for utterance, digest, stack in zip(utterances, digests, stacks):
-            if stack is None and digest not in miss_row:
+        for utterance, digest, row in zip(utterances, digests, cached):
+            if row is None and digest not in miss_row:
                 miss_row[digest] = len(miss_utts)
                 miss_utts.append(utterance)
         dead: set[str] = set()
@@ -719,53 +719,47 @@ class ScoringEngine:
                     "no frontend could score the batch "
                     f"(failed/open: {sorted(dead)})"
                 )
-            computed = np.full((len(miss_utts), n_sub, n_classes), np.nan)
+            # (u, K) raw scores of the misses per live subsystem index.
+            scores: dict[int, np.ndarray] = {}
             for q, (fe_name, vsm) in enumerate(self.trained.subsystems):
                 if fe_name in dead:
                     continue
                 with self._stage("sv_product", audio_seconds=audio):
-                    computed[:, q, :] = vsm.score_matrix(
-                        raw_by_frontend[fe_name]
+                    scores[q] = vsm.score_matrix(raw_by_frontend[fe_name])
+            if dead:
+                self._degraded_batches.inc()
+                with self._stage("fusion"):
+                    fused = self._degraded_fusion(scores)
+            else:
+                with self._stage("fusion"):
+                    fused = self.trained.fusion.transform(
+                        [scores[q] for q in range(len(scores))]
                     )
-            # Partial stacks would poison warm requests after the
-            # frontend recovers — only complete stacks are cached.
-            if self._cache_enabled and not dead:
-                for digest, row in miss_row.items():
-                    self.cache.put(digest, computed[row])
-            stacks = [
-                computed[miss_row[digest]] if stack is None else stack
-                for digest, stack in zip(digests, stacks)
-            ]
+                # Partial rows would poison warm requests after the
+                # frontend recovers — only full LDA-MMI rows are cached.
+                if self._cache_enabled:
+                    for digest, row in miss_row.items():
+                        self.cache.put(digest, fused[row])
         with self._breaker_lock:
             self._last_dead = frozenset(dead)
-        full = np.stack(stacks)  # (m, N, K)
-        if dead:
-            self._degraded_batches.inc()
-            with self._stage("fusion"):
-                return self._degraded_fusion(full, dead)
-        with self._stage("fusion"):
-            return self.trained.fusion.transform(
-                [full[:, q, :] for q in range(n_sub)]
-            )
+        out = np.empty((len(utterances), n_classes))
+        for i, (digest, row) in enumerate(zip(digests, cached)):
+            out[i] = fused[miss_row[digest]] if row is None else row
+        return out
 
-    def _degraded_fusion(
-        self, full: np.ndarray, dead: set[str]
-    ) -> np.ndarray:
+    def _degraded_fusion(self, scores: dict[int, np.ndarray]) -> np.ndarray:
         """Eq. 20 linear fusion restricted to the live subsystems.
 
         The fitted LDA-MMI backend needs all N subsystem score blocks,
         so with frontends down the engine falls back to
         :func:`~repro.backend.fusion.linear_fusion` over the surviving
-        subsystems, under their fitted fusion weights renormalised to
-        sum to one (uniform when every survivor's weight is 0).
+        subsystems (``scores``, keyed by subsystem index), under their
+        fitted fusion weights renormalised to sum to one (uniform when
+        every survivor's weight is 0).
         """
-        live = [
-            q
-            for q, (fe_name, _) in enumerate(self.trained.subsystems)
-            if fe_name not in dead
-        ]
+        live = sorted(scores)
         return linear_fusion(
-            [full[:, q, :] for q in live], self.trained.fusion.weights_[live]
+            [scores[q] for q in live], self.trained.fusion.weights_[live]
         )
 
     # ------------------------------------------------------------------
@@ -784,7 +778,7 @@ class ScoringEngine:
         with total elapsed seconds, call counts and p50/p95 per-batch
         latency in milliseconds; ``latency_ms`` is the end-to-end
         per-request distribution (queue wait included for the submitted
-        path, fusion alone for hits answered at admission).
+        path, the row copy alone for hits answered at admission).
         ``mean_batch_size`` counts batched requests only, so admission
         hits (``serve.cache.admitted``) do not inflate it.  The
         overload/degradation keys (``rejected``,

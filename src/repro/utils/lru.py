@@ -2,7 +2,7 @@
 
 :class:`LruTracker` orders keys by last touch and, when a bound is
 configured, says which keys must go.  It stores no values: the owner
-(:class:`repro.serve.cache.ScoreCache`, per-utterance subsystem scores
+(:class:`repro.serve.cache.ScoreCache`, per-utterance served score rows
 in the online scoring service) keeps its own dict and deletes whatever
 the tracker evicts.
 """

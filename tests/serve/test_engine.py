@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import repro.serve.engine as engine_module
+from repro.faults import FaultPlan
 from repro.serve import ScoringEngine
 from repro.serve.engine import STAGE_NAMES, EngineClosedError, QueueFullError
+from tests.serve.test_overload import _linear_reference
 from tests.tracing import traced_stages
 
 
@@ -202,7 +204,8 @@ class TestAdmission:
         assert stats["batches"] == 1
         assert stats["mean_batch_size"] == pytest.approx(2.0)
         assert stats["cache"]["hits"] + stats["cache"]["misses"] == 4
-        assert stats["stages"]["fusion"]["calls"] == 3
+        # Only the batch fuses: admission hits serve their cached rows.
+        assert stats["stages"]["fusion"]["calls"] == 1
 
     def test_concurrent_admission_counts_each_request_once(
         self, serve_trained, dev_utterances
@@ -258,6 +261,81 @@ class TestAdmission:
             stats = engine.stats()
         assert stats["metrics"]["serve.cache.admitted"]["value"] == 0
         assert stats["batches"] == 2
+
+
+class TestCachedRows:
+    """The cache holds served rows: hits are copied, only misses fuse."""
+
+    @staticmethod
+    def _spy_fusion(monkeypatch, trained) -> list[int]:
+        """Record the row count of every ``fusion.transform`` call."""
+        calls: list[int] = []
+        real = trained.fusion.transform
+
+        def spy(score_matrices):
+            calls.append(len(score_matrices[0]))
+            return real(score_matrices)
+
+        monkeypatch.setattr(trained.fusion, "transform", spy)
+        return calls
+
+    def test_admission_hit_does_not_fuse(
+        self, serve_trained, dev_utterances, monkeypatch
+    ):
+        engine = ScoringEngine(serve_trained)
+        served = engine.score_utterances(dev_utterances[:1])
+        calls = self._spy_fusion(monkeypatch, serve_trained)
+        try:
+            row = engine.submit(dev_utterances[0]).result(timeout=0)
+        finally:
+            engine.close()
+        assert calls == []
+        assert row.tobytes() == served[0].tobytes()
+        assert engine.stats()["stages"]["fusion"]["calls"] == 1
+
+    def test_hit_rows_are_caller_owned(self, serve_trained, dev_utterances):
+        engine = ScoringEngine(serve_trained)
+        served = engine.score_utterances(dev_utterances[:1])
+        try:
+            first = engine.submit(dev_utterances[0]).result(timeout=0)
+            first[:] = np.nan
+            second = engine.submit(dev_utterances[0]).result(timeout=0)
+            again = engine.score_utterances(dev_utterances[:1])
+        finally:
+            engine.close()
+        assert second.tobytes() == served[0].tobytes()
+        assert again.tobytes() == served.tobytes()
+
+    def test_mixed_batch_fuses_only_its_misses(
+        self, serve_trained, dev_utterances, monkeypatch
+    ):
+        reference = ScoringEngine(
+            serve_trained, cache_entries=0
+        ).score_utterances(dev_utterances)
+        engine = ScoringEngine(serve_trained)
+        engine.score_utterances(dev_utterances[:2])  # two hits-to-be
+        calls = self._spy_fusion(monkeypatch, serve_trained)
+        # Hits, misses and a repeated miss in one batch.
+        order = [0, 2, 1, 3, 2, 4]
+        rows = engine.score_utterances([dev_utterances[i] for i in order])
+        assert calls == [3]  # the three distinct misses, nothing else
+        assert rows.tobytes() == reference[order].tobytes()
+
+    def test_degraded_batch_serves_cached_hits_in_full(
+        self, serve_trained, dev_utterances
+    ):
+        hit, *misses = dev_utterances[:3]
+        dead_fe = serve_trained.frontends[0].name
+        engine = ScoringEngine(serve_trained)
+        warm = engine.score_utterances([hit])
+        engine.faults = FaultPlan.parse(f"error:{dead_fe}")
+        rows = engine.score_utterances([misses[0], hit, misses[1]])
+        assert engine.degraded_frontends() == [dead_fe]
+        assert rows[1].tobytes() == warm[0].tobytes()
+        expected = _linear_reference(serve_trained, misses, {dead_fe})
+        assert rows[[0, 2]].tobytes() == expected.tobytes()
+        # Partial rows are never cached: only the warm hit is stored.
+        assert engine.stats()["cache"]["entries"] == 1
 
 
 class TestMicroBatching:

@@ -1,11 +1,13 @@
 """Fused rows do not depend on the batch they are fused in.
 
-The engine answers a score-cache hit by fusing its one cached stack on
-the submitting thread, while a miss is fused inside a batch; perfbench
-checks that a repeated utterance scores bitwise the same.  Both rely on
-``TrainedSystem.fusion.transform`` giving each row the same bits at any
-batch size and row offset.  A BLAS that sent a 1-row product down a
-different kernel would break that; these tests would catch it.
+The engine caches the calibrated row a batch served for an utterance
+and answers every later hit with it, while a batch fuses only its
+misses; perfbench checks that a repeated utterance scores bitwise the
+same.  Both rely on ``TrainedSystem.fusion.transform`` giving each row
+the same bits at any batch size and row offset, so that a row cached
+from one batch equals the row any other batch would serve.  A BLAS that
+sent a 1-row product down a different kernel would break that; these
+tests would catch it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import ScoringEngine
-from repro.serve.protocol import utterance_digest
+from repro.frontend.registry import decode_utterances
 
 POOL = 40
 
@@ -28,9 +29,18 @@ def score_stacks(serve_system, serve_trained):
     utts += list(serve_system.bundle.test[3.0].utterances)
     utts = utts[:POOL]
     assert len(utts) == POOL
-    engine = ScoringEngine(serve_trained, cache_entries=None)
-    engine.score_utterances(utts)
-    return np.stack([engine.cache.get(utterance_digest(u)) for u in utts])
+    seed = serve_trained.config.system.seed
+    raw = {}
+    for fe_name, vsm in serve_trained.subsystems:
+        if fe_name not in raw:
+            frontend = next(
+                fe for fe in serve_trained.frontends if fe.name == fe_name
+            )
+            raw[fe_name] = vsm.extract(decode_utterances(frontend, seed, utts))
+    return np.stack(
+        [vsm.score_matrix(raw[fe]) for fe, vsm in serve_trained.subsystems],
+        axis=1,
+    )
 
 
 def _fuse(trained, stacks: np.ndarray) -> np.ndarray:
@@ -65,6 +75,7 @@ def test_any_row_mix_fuses_bitwise(serve_trained, score_stacks, picks):
 def test_single_row_fusion_matches_the_admission_path(
     serve_trained, score_stacks
 ):
+    """A lone miss fuses a 1-row batch; admission then serves that row."""
     reference = _fuse(serve_trained, score_stacks)
     for i, stack in enumerate(score_stacks):
         alone = serve_trained.fusion.transform([s[None, :] for s in stack])
