@@ -48,6 +48,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -97,15 +98,30 @@ class SubsystemScores:
     """Raw SVM score matrices of one subsystem (Eq. 9).
 
     ``test`` maps each nominal duration to an ``(m_d, K)`` matrix.
-    ``vsm`` is the fitted classifier that produced the scores; it is kept
-    so a trained system can be exported for online serving
-    (:mod:`repro.serve`) without retraining.
+    :attr:`vsm` is the fitted classifier that produced the scores; it is
+    kept so a trained system can be exported for online serving
+    (:mod:`repro.serve`) without retraining.  ``model`` holds it when the
+    run trained it, or loaded it for a score stage it executed;
+    otherwise ``model`` is a loader and :attr:`vsm` resolves it from the
+    store on first read, so a warm re-run that only renders tables loads
+    no model.
     """
 
     name: str
     dev: np.ndarray
     test: dict[float, np.ndarray]
-    vsm: VSM | None = None
+    model: VSM | Callable[[], VSM] | None = field(default=None, repr=False)
+
+    @property
+    def vsm(self) -> VSM | None:
+        """The fitted classifier, loaded on first read if not kept."""
+        if callable(self.model):
+            self.model = self.model()
+        return self.model
+
+    @vsm.setter
+    def vsm(self, value: VSM | None) -> None:
+        self.model = value
 
 
 @dataclass
@@ -717,26 +733,39 @@ class PhonotacticSystem:
         return names
 
     @staticmethod
-    def _result_targets(
-        fit_stages: dict[str, str],
-        score_names: dict[str, dict[str, str]],
-    ) -> list[str]:
-        """The graph leaves result assembly needs (fits + all scores)."""
-        targets = list(fit_stages.values())
-        for names in score_names.values():
-            targets.extend(names.values())
-        return targets
+    def _result_targets(score_names: dict[str, dict[str, str]]) -> list[str]:
+        """The graph leaves result assembly needs: the score stages.
+
+        A fit is no target: it runs (or loads) only when a live score
+        stage needs it, and otherwise stays in the store until its
+        :attr:`SubsystemScores.vsm` is read.
+        """
+        return [
+            name for names in score_names.values() for name in names.values()
+        ]
+
+    def _load_fit(self, graph: StageGraph, fit_stage: str) -> VSM:
+        """Resolve one fit stage of ``graph`` through the store."""
+        return graph.run(
+            [fit_stage], store=self.store, retry=self.retry, claims=self.claims
+        )[fit_stage]
 
     def _assemble_subsystems(
         self,
+        graph: StageGraph,
         results: dict,
         fit_stages: dict[str, str],
         score_names: dict[str, dict[str, str]],
     ) -> list[SubsystemScores]:
-        """Collect graph outputs into per-frontend score bundles."""
+        """Collect graph outputs into per-frontend score bundles.
+
+        A fit in ``results`` (trained, or loaded for a live score stage)
+        is handed over; any other is left to load on first read.
+        """
         subsystems: list[SubsystemScores] = []
         for frontend in self.frontends:
             names = score_names[frontend.name]
+            fit = fit_stages[frontend.name]
             subsystems.append(
                 SubsystemScores(
                     frontend.name,
@@ -745,7 +774,11 @@ class PhonotacticSystem:
                         d: results[names[f"test@{d}"]]
                         for d in self.durations
                     },
-                    vsm=results[fit_stages[frontend.name]],
+                    model=(
+                        results[fit]
+                        if fit in results
+                        else partial(self._load_fit, graph, fit)
+                    ),
                 )
             )
         return subsystems
@@ -799,7 +832,7 @@ class PhonotacticSystem:
             )
         # Target only the leaves we assemble results from: φ stages then
         # run exactly when a live (non-cached) stage still needs them.
-        targets = self._result_targets(fit_stages, score_names)
+        targets = self._result_targets(score_names)
         failures: dict[str, BaseException] | None = (
             {} if self.on_error == "degrade" else None
         )
@@ -817,7 +850,7 @@ class PhonotacticSystem:
         self._purge_tainted(graph)
         return BaselineResult(
             subsystems=self._assemble_subsystems(
-                results, fit_stages, score_names
+                graph, results, fit_stages, score_names
             ),
             durations=self.durations,
         )
@@ -929,7 +962,7 @@ class PhonotacticSystem:
                 score_names[frontend.name] = self._score_stages(
                     graph, frontend, fit_name, model_id
                 )
-            targets = self._result_targets(fit_stages, score_names)
+            targets = self._result_targets(score_names)
             failures: dict[str, BaseException] | None = (
                 {} if self.on_error == "degrade" else None
             )
@@ -957,7 +990,7 @@ class PhonotacticSystem:
             self._purge_tainted(graph)
         return DBAResult(
             subsystems=self._assemble_subsystems(
-                results, fit_stages, score_names
+                graph, results, fit_stages, score_names
             ),
             durations=self.durations,
             threshold=threshold,

@@ -26,11 +26,14 @@ header).  A ``sparse`` payload holds the members ``dim``, ``indptr``,
 ``value``.  Members keep their exact dtype, byte order included;
 object dtypes are rejected.  ``json`` payloads are ``.json`` text.
 
-Every :meth:`~ArtifactStore.get` reads its payload file once and both
-verifies the recorded SHA-256 and parses the arrays from that one
-buffer, so what is returned is exactly what was verified; a mismatch
-raises :class:`StoreCorruptionError` rather than returning stale or
-tampered data (the same hard-fail posture as
+Every :meth:`~ArtifactStore.get` reads its payload file once into an
+owned buffer and both verifies the recorded SHA-256 and parses the
+arrays from that one buffer, so what is returned is exactly what was
+verified.  The arrays are writable views over that buffer, not
+per-member copies: the read places the member data at a 16-byte
+boundary, and only a member that still sits off its dtype's alignment
+is copied.  A mismatch raises :class:`StoreCorruptionError` rather than
+returning stale or tampered data (the same hard-fail posture as
 :mod:`repro.serve.artifacts`).  The index is rewritten atomically
 (temp file + ``os.replace``) after each put, so a killed run leaves a
 loadable store behind — the basis of resumable campaigns.
@@ -116,6 +119,8 @@ _OBJECTS = "objects"
 _EXT = {"sparse": "bin", "array": "bin", "arrays": "bin", "json": "json"}
 #: Length prefix of a flat payload's JSON member table.
 _HEADER_LEN = struct.Struct("<I")
+#: Alignment of a read payload's member data (any numpy dtype's).
+_ALIGN = 16
 
 _LOCK = "index.lock"
 #: A lock file older than this is presumed abandoned (killed writer)
@@ -191,23 +196,32 @@ def _encode_members(members: dict[str, Any]) -> bytes:
     return b"".join([_HEADER_LEN.pack(len(header)), header, *buffers])
 
 
-def _decode_members(data: bytes) -> dict[str, np.ndarray]:
-    """Named arrays of a flat payload; each one an owned, writable copy."""
-    (header_len,) = _HEADER_LEN.unpack_from(data)
-    start = _HEADER_LEN.size + header_len
+def _decode_members(buf: np.ndarray, begin: int) -> dict[str, np.ndarray]:
+    """Named arrays of the flat payload at ``buf[begin:]``.
+
+    Each member is a writable view over ``buf``, the owned buffer
+    :meth:`ArtifactStore.get` read the payload into; members never
+    overlap, so writing one leaves the others alone.  A member whose
+    bytes do not sit at its dtype's alignment is copied instead, so
+    every returned array computes exactly as a freshly allocated one.
+    """
+    (header_len,) = _HEADER_LEN.unpack_from(buf, begin)
+    start = begin + _HEADER_LEN.size
     members: dict[str, np.ndarray] = {}
     for name, dtype_str, shape, offset, nbytes in json.loads(
-        data[_HEADER_LEN.size : start]
+        buf[start : start + header_len].tobytes().decode()
     ):
         dtype = np.dtype(dtype_str)
         if not nbytes:
             members[name] = np.empty(shape, dtype=dtype)
             continue
         flat = np.frombuffer(
-            data, dtype=dtype, count=nbytes // dtype.itemsize,
-            offset=start + offset,
+            buf, dtype=dtype, count=nbytes // dtype.itemsize,
+            offset=start + header_len + offset,
         )
-        members[name] = flat.reshape(shape).copy()
+        if not flat.flags.aligned:
+            flat = flat.copy()
+        members[name] = flat.reshape(shape)
     return members
 
 
@@ -237,11 +251,11 @@ def _encode(kind: str, value: Any) -> bytes:
     return json.dumps(value, sort_keys=True, default=list).encode()
 
 
-def _decode(kind: str, data: bytes) -> Any:
-    """Inverse of :func:`_encode`."""
+def _decode(kind: str, buf: np.ndarray, begin: int) -> Any:
+    """Inverse of :func:`_encode` for the payload at ``buf[begin:]``."""
     if kind == "json":
-        return json.loads(data)
-    members = _decode_members(data)
+        return json.loads(buf[begin:].tobytes())
+    members = _decode_members(buf, begin)
     if kind == "sparse":
         return SparseMatrix(
             int(members["dim"]),
@@ -252,6 +266,51 @@ def _decode(kind: str, data: bytes) -> Any:
     if kind == "array":
         return members["value"]
     return members
+
+
+def _read_payload(path: str) -> tuple[np.ndarray, int]:
+    """A payload file read once into an owned buffer.
+
+    Returns ``(buf, begin)``: the file's bytes are ``buf[begin:]``.
+    ``begin`` is chosen so a flat payload's member data, after its
+    header, starts :data:`_ALIGN`-aligned, which lets
+    :func:`_decode_members` hand out views instead of copies.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER_LEN.size)
+        buf = np.empty(size + _ALIGN, dtype=np.uint8)
+        begin = 0
+        if len(head) == _HEADER_LEN.size:
+            (header_len,) = _HEADER_LEN.unpack(head)
+            data_at = buf.ctypes.data + _HEADER_LEN.size + header_len
+            begin = -data_at % _ALIGN
+        view = memoryview(buf)[begin : begin + size]
+        view[: len(head)] = head
+        read = len(head)
+        # One read(2) returns at most about 2 GiB, so large payloads
+        # take several; a file that shrank under the read comes back
+        # short and fails its checksum.
+        while read < size:
+            n = fh.readinto(view[read:])
+            if not n:
+                break
+            read += n
+    return buf[: begin + read], begin
+
+
+def _unlink_matching(directory: str, match: Callable[[str], bool]) -> int:
+    """Remove the entries of ``directory`` whose names ``match``."""
+    removed = 0
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if match(entry.name):
+                try:
+                    os.unlink(entry.path)
+                except FileNotFoundError:
+                    pass
+                removed += 1
+    return removed
 
 
 def _file_sha256(path: Path) -> str:
@@ -284,6 +343,9 @@ class ArtifactStore:
         self, directory: str | Path, *, lock_timeout: float = 10.0
     ) -> None:
         self.directory = Path(directory)
+        #: ``directory`` as a string ending in a separator, so a hit
+        #: joins its payload path without building a ``Path``
+        self._root = os.path.join(str(self.directory), "")
         self.lock_timeout = float(lock_timeout)
         (self.directory / _OBJECTS).mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
@@ -320,24 +382,27 @@ class ArtifactStore:
     def _sweep_orphans(self) -> int:
         """Remove temp files abandoned by killed writers; returns count.
 
-        Covers both payload temps (``objects/<kk>/.tmp-*``) and index
-        temps (``.index-*.tmp`` in the root).  Payloads are only ever
-        published by ``os.replace`` of a completed temp, so anything
-        still carrying a temp name is garbage by construction.
+        Covers payload temps (``objects/<kk>/.tmp-*``), index temps
+        (``.index-*.tmp`` in the root) and lock-breaker grabs
+        (``.lockbreak-*``), one directory scan each.  Payloads are only
+        ever published by ``os.replace`` of a completed temp, so
+        anything still carrying a temp name is garbage by construction.
         """
         swept = 0
-        for orphan in self.directory.glob(f"{_OBJECTS}/*/{_TMP_PREFIX}*"):
-            orphan.unlink(missing_ok=True)
-            swept += 1
-        for orphan in self.directory.glob(".index-*.tmp"):
-            orphan.unlink(missing_ok=True)
-            swept += 1
-        for orphan in self.directory.glob(".lockbreak-*"):
-            # A lock breaker killed between rename and unlink leaves
-            # its uniquely-named grab behind; the lock itself is gone,
-            # so this is litter, not a held lock.
-            orphan.unlink(missing_ok=True)
-            swept += 1
+        with os.scandir(self._root + _OBJECTS) as shards:
+            for shard in shards:
+                if shard.is_dir():
+                    swept += _unlink_matching(
+                        shard.path, lambda n: n.startswith(_TMP_PREFIX)
+                    )
+        # A lock breaker killed between rename and unlink leaves its
+        # uniquely-named grab (``.lockbreak-*``) behind; the lock itself
+        # is gone, so this is litter, not a held lock.
+        swept += _unlink_matching(
+            self._root,
+            lambda n: (n.startswith(".index-") and n.endswith(".tmp"))
+            or n.startswith(".lockbreak-"),
+        )
         return swept
 
     @contextmanager
@@ -562,7 +627,8 @@ class ArtifactStore:
         Raises ``KeyError`` when the key is unknown (a *miss*) and
         :class:`StoreCorruptionError` when the payload file is missing
         or fails checksum verification (never stale data).  The file is
-        read once; the checksum and the parse both use that buffer.
+        read once into an owned buffer; the checksum and the parse both
+        use it, and the returned arrays are views over it.
         """
         ambient_plan().apply("store")
         with self._lock:
@@ -572,20 +638,20 @@ class ArtifactStore:
             raise KeyError(f"no artifact stored under key {key[:12]}…")
         with trace.span("store.get", kind=entry["kind"]) as sp:
             try:
-                data = (self.directory / entry["file"]).read_bytes()
+                buf, begin = _read_payload(self._root + entry["file"])
             except FileNotFoundError:
                 raise StoreCorruptionError(
                     f"artifact payload {entry['file']} is missing from disk"
                 ) from None
-            sp.inc("bytes", len(data))
-            actual = hashlib.sha256(data).hexdigest()
+            sp.inc("bytes", len(buf) - begin)
+            actual = hashlib.sha256(memoryview(buf)[begin:]).hexdigest()
             if actual != entry["sha256"]:
                 raise StoreCorruptionError(
                     f"artifact payload {entry['file']} failed checksum "
                     f"verification (sha256 {actual[:12]}… != index "
                     f"{entry['sha256'][:12]}…)"
                 )
-            value = _decode(entry["kind"], data)
+            value = _decode(entry["kind"], buf, begin)
         _STORE_HITS.inc()
         return value
 

@@ -26,6 +26,25 @@ from repro.utils.validation import check_matrix
 __all__ = ["cavg", "min_cavg"]
 
 
+def _accepted_counts(
+    decisions: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer trial counts behind every ``P_miss`` and ``P_fa`` term.
+
+    Returns the ``(K, K)`` matrix whose ``[j, t]`` cell counts the
+    language-``j`` utterances the ``t``-detector accepts, and the ``(K,)``
+    utterance count of each language.  Labels outside ``[0, K)`` belong
+    to no language and count nowhere.
+    """
+    known = (labels >= 0) & (labels < k)
+    rows = labels[known]
+    cells = rows[:, None] * k + np.arange(k)
+    accepted = np.bincount(
+        cells[decisions[known]], minlength=k * k
+    ).reshape(k, k)
+    return accepted, np.bincount(rows, minlength=k)
+
+
 def _cavg_at_threshold(
     scores: np.ndarray,
     labels: np.ndarray,
@@ -34,30 +53,32 @@ def _cavg_at_threshold(
     c_miss: float,
     c_fa: float,
 ) -> float:
-    m, k = scores.shape
-    decisions = scores >= threshold
+    """C_avg from one count matrix, in the definition's summation order.
+
+    Each rate is an exact integer count over its class size, and the
+    false-alarm rates of a detector are summed over the other languages
+    in ascending order, then the per-detector costs in ascending order,
+    so the value is the same float as the K² loop of the definition.
+    """
+    k = scores.shape[1]
+    accepted, sizes = _accepted_counts(scores >= threshold, labels, k)
+    # A language with no utterances has all-zero counts, so dividing by
+    # 1 gives it the definition's rates of 0.
+    denom = np.maximum(sizes, 1).astype(np.float64)
+    p_miss = (sizes - np.diag(accepted)) / denom
+    # p_fa[j, t]: the t-detector's false-alarm rate on language j; the
+    # diagonal holds the hits, which no false-alarm sum includes.
+    p_fa = accepted / denom[:, None]
+    np.fill_diagonal(p_fa, 0.0)
+    fa_sum = np.zeros(k)
+    for row in p_fa:
+        fa_sum += row
+    costs = c_miss * p_target * p_miss + (
+        c_fa * (1.0 - p_target) / (k - 1)
+    ) * fa_sum
     total = 0.0
-    for tgt in range(k):
-        is_tgt = labels == tgt
-        n_tgt = int(is_tgt.sum())
-        p_miss = (
-            float((~decisions[is_tgt, tgt]).sum()) / n_tgt if n_tgt else 0.0
-        )
-        fa_sum = 0.0
-        for other in range(k):
-            if other == tgt:
-                continue
-            is_other = labels == other
-            n_other = int(is_other.sum())
-            p_fa = (
-                float(decisions[is_other, tgt].sum()) / n_other
-                if n_other
-                else 0.0
-            )
-            fa_sum += p_fa
-        total += c_miss * p_target * p_miss + (
-            c_fa * (1.0 - p_target) / (k - 1)
-        ) * fa_sum
+    for cost in costs.tolist():
+        total += cost
     return total / k
 
 

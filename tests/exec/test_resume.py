@@ -63,11 +63,12 @@ class TestWarmCampaign:
         assert "sv_generation" not in warm_stages()
         # … because every stage product came from the store:
         assert registry.counter("exec.store.hits").value > 0
-        assert registry.counter("exec.stage.svm_train.cached").value > 0
         assert registry.counter("exec.stage.score.cached").value > 0
         assert registry.counter("exec.stage.vote.cached").value > 0
-        assert registry.counter("exec.stage.dba_train.cached").value > 0
         assert registry.counter("exec.stage.fuse.cached").value > 0
+        # … and the fitted models, which no table reads, stayed on disk:
+        assert registry.counter("exec.stage.svm_train.cached").value == 0
+        assert registry.counter("exec.stage.dba_train.cached").value == 0
         assert registry.counter("exec.stage.svm_train.executed").value == 0
         assert registry.counter("exec.stage.dba_train.executed").value == 0
 

@@ -194,6 +194,32 @@ class TestFlatCodec:
         np.testing.assert_array_equal(loaded["b"], np.ones(4))
         np.testing.assert_array_equal(store.get("d" * 64)["a"], np.zeros(4))
 
+    @pytest.mark.parametrize("name", ["v", "value", "a_longer_name"])
+    def test_members_are_aligned_views(self, store, name):
+        # Header lengths vary with member names; an unaligned float64
+        # array would sum in other chunks and give other bits.
+        original = np.random.default_rng(0).normal(size=10001)
+        store.put(
+            "9" * 64,
+            "arrays",
+            {name: original, "odd": np.arange(3, dtype="<i4"), "f": original},
+        )
+        loaded = store.get("9" * 64)
+
+        def buffer(arr: np.ndarray) -> np.ndarray:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        # Both leading members are views over the one payload buffer…
+        assert buffer(loaded[name]) is buffer(loaded["odd"])
+        assert loaded[name].flags.aligned
+        # … and "f", 12 bytes past an aligned start, is an aligned copy.
+        assert buffer(loaded["f"]) is not buffer(loaded["odd"])
+        assert loaded["f"].flags.aligned
+        assert loaded[name].sum().hex() == original.sum().hex()
+        assert loaded["f"].sum().hex() == original.sum().hex()
+
     def test_sparse_members_are_owned(self, store):
         store.put("e" * 64, "sparse", _tiny_sparse())
         loaded = store.get("e" * 64)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.cavg import cavg, min_cavg
+from tests.oracles.metrics import cavg_reference, min_cavg_reference
 
 
 class TestCavg:
@@ -79,3 +82,36 @@ class TestMinCavg:
         labels = np.array([0, 1])
         assert cavg(scores, labels) == pytest.approx(0.5)  # all accepted
         assert min_cavg(scores, labels) == pytest.approx(0.0)
+
+
+class TestCountMatrixOracle:
+    """C_avg from the count matrix reproduces the K² loop's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        m=st.integers(1, 80),
+        empty=st.integers(0, 3),
+        threshold=st.sampled_from([0.0, -0.3, 0.5, 1.2]),
+        p_target=st.sampled_from([0.5, 0.3, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_loop(self, k, m, empty, threshold, p_target, seed):
+        rng = np.random.default_rng(seed)
+        # Scores on a 0.1 grid put trials exactly on the thresholds.
+        scores = np.round(rng.normal(0.0, 1.0, size=(m, k)), 1)
+        # Draw labels from all but ``empty`` classes, so some languages
+        # have no utterances.
+        present = rng.permutation(k)[: max(1, k - empty)]
+        labels = rng.choice(present, size=m)
+        scores[np.arange(m), labels] += rng.choice([0.0, 1.0], size=m)
+        got = cavg(scores, labels, threshold=threshold, p_target=p_target)
+        expected = cavg_reference(
+            scores, labels, threshold=threshold, p_target=p_target
+        )
+        assert got.hex() == expected.hex()
+        got_min = min_cavg(scores, labels, p_target=p_target, n_grid=40)
+        expected_min = min_cavg_reference(
+            scores, labels, p_target=p_target, n_grid=40
+        )
+        assert got_min.hex() == expected_min.hex()
