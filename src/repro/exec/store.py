@@ -13,9 +13,15 @@ the same value.
 
 Layout of a store directory::
 
-    index.json                      {"version": 2, "entries": {key -> {kind,
-                                    file, sha256, size, created_unix, meta}}}
+    index.jsonl                     the index log: a header line
+                                    {"version": 3, "generation": <32 hex>},
+                                    then one line per entry record
+                                    {key, kind, file, sha256, size,
+                                    created_unix, meta} or tombstone
+                                    {key, "deleted": true}; the last line
+                                    for a key wins
     objects/<kk>/<key>.<ext>        payload files, sharded by key prefix
+    tmp/                            payload temps in flight
 
 Payloads of kind ``sparse``, ``array`` and ``arrays`` are ``.bin`` files
 in a flat format: a 4-byte little-endian header length, a JSON member
@@ -34,27 +40,60 @@ per-member copies: the read places the member data at a 16-byte
 boundary, and only a member that still sits off its dtype's alignment
 is copied.  A mismatch raises :class:`StoreCorruptionError` rather than
 returning stale or tampered data (the same hard-fail posture as
-:mod:`repro.serve.artifacts`).  The index is rewritten atomically
-(temp file + ``os.replace``) after each put, so a killed run leaves a
-loadable store behind — the basis of resumable campaigns.
+:mod:`repro.serve.artifacts`).
 
-The index carries a schema ``version`` (:data:`STORE_VERSION`).  An
-index written under any other version — schema 1 stored ``.npz``
-payloads — opens as an empty store: every lookup misses, the stages
-recompute, and the next index write keeps none of the old entries.  Old
-payload files are left on disk untouched; their names never collide
-with the current ``.bin`` payloads.
+The index log carries a schema ``version`` (:data:`STORE_VERSION`).  A
+directory whose only index is an older ``index.json`` — schema 1 stored
+``.npz`` payloads, schema 2 kept a whole-file JSON index — and a log of
+another version open as an empty store: every lookup misses, the stages
+recompute, and the next write starts a new log that keeps none of the
+old entries.  Old files are left on disk untouched; old payload names
+never collide with the current ``.bin`` payloads.
+
+Reading the index
+-----------------
+A process keeps one parse of each log it has read, keyed by the log's
+resolved path: its ``generation``, the byte offset it has parsed up to
+and the entries.  Opening a store or :meth:`~ArtifactStore.refresh`
+reads the header line; when its generation matches, only the bytes past
+that offset are parsed, so a re-open with no new puts parses no entry
+line.  A different generation (the log was compacted or replaced) or a
+file shorter than the offset parses the whole log again, with the same
+read from the first entry line.  Only complete lines are parsed; a
+complete line that is not a JSON entry record or tombstone raises
+:class:`StoreError`.  ``exec.store.index_lines_read`` counts the entry
+lines parsed.
 
 Crash and concurrency hygiene
 -----------------------------
-Payload files are themselves written via temp + ``os.replace``, so a
-writer killed mid-``put`` leaves only a ``.tmp-*`` orphan, never a
-half-written payload under a final name; orphans are swept on the next
-store open.  Index rewrites happen under an exclusive ``index.lock``
-file (``O_CREAT|O_EXCL``, bounded wait, stale locks older than
-:data:`_LOCK_STALE_S` are broken) and *merge* the on-disk entries with
-this process's, so two concurrent campaigns sharing a store cannot lose
-each other's puts by interleaving read-modify-write cycles.
+Payload files are written to a ``.tmp-*`` file in ``tmp/`` (the same
+filesystem, so the publish is atomic) and published by ``os.replace``
+into their shard, so a writer killed mid-``put`` leaves only an orphan
+temp, never a half-written payload under a final name.  Index writes
+happen under an exclusive ``index.lock`` file (``O_CREAT|O_EXCL``,
+bounded wait, stale locks older than :data:`_LOCK_STALE_S` are broken):
+a put appends its one record line with one ``os.write`` on an
+``O_APPEND`` descriptor, so the bytes a put writes do not grow with the
+store, and two processes sharing a store never lose each other's
+records.  Under the lock a writer first drops an incomplete last line,
+which only a writer killed mid-append can leave; readers never parse
+one.  :meth:`~ArtifactStore.delete` and ``verify(remove=True)`` append
+tombstones.  Once superseded and tombstoned lines outnumber live ones,
+the writer compacts the log under the lock: a temp file with only the
+live entries and a fresh generation replaces it by ``os.replace``.
+
+Opening a store sweeps orphans with two directory scans: ``tmp/`` for
+payload temps and the root for index temps (``.index-*.tmp``) and
+lock-breaker grabs (``.lockbreak-*``).  A temp is swept only once its
+mtime is older than :data:`_LOCK_STALE_S`, so an open never deletes the
+temp of a live writer in another process that is about to publish it.
+A directory without a schema-3 log also has its shards swept once:
+earlier schemas wrote their payload temps there, and nothing of this
+schema ever does.
+
+In memory a handle knows its own puts and what it read at open;
+:meth:`~ArtifactStore.refresh` adds the keys other handles and
+processes published since (memory wins per key).
 :meth:`ArtifactStore.verify` re-hashes every payload against the index
 (``repro exec verify STORE`` from the CLI) and can drop corrupt
 entries so the next run recomputes them.
@@ -106,17 +145,22 @@ __all__ = [
 _STORE_HITS = default_registry().counter("exec.store.hits")
 _STORE_MISSES = default_registry().counter("exec.store.misses")
 _STORE_BYTES = default_registry().counter("exec.store.bytes")
+_INDEX_LINES_READ = default_registry().counter("exec.store.index_lines_read")
 
 #: Payload kinds the store can (de)serialise.
 PAYLOAD_KINDS = ("sparse", "array", "arrays", "json")
 
-#: Schema of ``index.json`` and its payloads (1: ``.npz`` payloads;
-#: 2: flat ``.bin`` payloads).  An index of another version opens empty.
-STORE_VERSION = 2
+#: Schema of the index and its payloads (1: ``.npz`` payloads; 2: flat
+#: ``.bin`` payloads under a whole-file ``index.json``; 3: the
+#: ``index.jsonl`` log).  An index of another version opens empty.
+STORE_VERSION = 3
 
-_INDEX = "index.json"
+_INDEX = "index.jsonl"
 _OBJECTS = "objects"
+_TMP = "tmp"
 _EXT = {"sparse": "bin", "array": "bin", "arrays": "bin", "json": "json"}
+#: Fields every entry record of the index log carries.
+_ENTRY_FIELDS = frozenset({"kind", "file", "sha256"})
 #: Length prefix of a flat payload's JSON member table.
 _HEADER_LEN = struct.Struct("<I")
 #: Alignment of a read payload's member data (any numpy dtype's).
@@ -124,7 +168,8 @@ _ALIGN = 16
 
 _LOCK = "index.lock"
 #: A lock file older than this is presumed abandoned (killed writer)
-#: and broken; index critical sections are milliseconds long.
+#: and broken; index critical sections are milliseconds long.  Temps
+#: are swept only once they are this old.
 _LOCK_STALE_S = 30.0
 #: Prefix of in-flight payload temp files (swept on store open).
 _TMP_PREFIX = ".tmp-"
@@ -299,18 +344,28 @@ def _read_payload(path: str) -> tuple[np.ndarray, int]:
     return buf[: begin + read], begin
 
 
-def _unlink_matching(directory: str, match: Callable[[str], bool]) -> int:
-    """Remove the entries of ``directory`` whose names ``match``."""
+def _unlink_matching(
+    directory: str, match: Callable[[os.DirEntry], bool]
+) -> int:
+    """Remove the entries of ``directory`` that ``match``; returns count."""
     removed = 0
     with os.scandir(directory) as entries:
         for entry in entries:
-            if match(entry.name):
+            if match(entry):
                 try:
                     os.unlink(entry.path)
                 except FileNotFoundError:
                     pass
                 removed += 1
     return removed
+
+
+def _older_than(entry: os.DirEntry, cutoff: float) -> bool:
+    """Whether ``entry`` was last modified before ``cutoff`` (epoch s)."""
+    try:
+        return entry.stat().st_mtime < cutoff
+    except FileNotFoundError:
+        return False
 
 
 def _file_sha256(path: Path) -> str:
@@ -321,13 +376,200 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _record_line(record: dict[str, Any]) -> bytes:
+    """One index log line: ``record`` as compact JSON and a newline."""
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return text.encode() + b"\n"
+
+
+def _header_generation(line: bytes, path: str) -> str | None:
+    """The generation of an index log header; ``None`` for another schema."""
+    try:
+        header = json.loads(line) if line.endswith(b"\n") else None
+    except ValueError as exc:
+        raise StoreError(
+            f"store index {path} header is not valid JSON: {exc}"
+        ) from None
+    if not isinstance(header, dict) or "version" not in header:
+        raise StoreError(f"store index {path} has an unexpected layout")
+    if header["version"] != STORE_VERSION:
+        return None  # another schema: everything misses and recomputes
+    generation = header.get("generation")
+    if not isinstance(generation, str):
+        raise StoreError(f"store index {path} has an unexpected layout")
+    return generation
+
+
+def _parse_record(line: bytes, path: str) -> dict[str, Any]:
+    """One entry record or tombstone line of an index log."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise StoreError(
+            f"store index {path} has a line that is not valid JSON: {exc}"
+        ) from None
+    if not (
+        isinstance(record, dict)
+        and isinstance(record.get("key"), str)
+        and (record.get("deleted") is True or _ENTRY_FIELDS <= record.keys())
+    ):
+        raise StoreError(f"store index {path} has an unexpected layout")
+    return record
+
+
+class _IndexLog:
+    """This process's parse of one index log (see the module docstring).
+
+    ``entries`` holds what the log's complete lines up to ``offset``
+    say, for the log of ``generation`` (``None``: no log of this
+    schema).  ``lines`` counts the entry lines behind ``entries``, live
+    or not, which decides compaction.  Every method runs under
+    ``self.lock``; the writers also hold the store's ``index.lock``.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.lock = threading.Lock()
+        self._reset(None, 0)
+
+    def _reset(self, generation: str | None, offset: int) -> None:
+        self.generation = generation
+        self.offset = offset
+        self.entries: dict[str, dict[str, Any]] = {}
+        self.lines = 0
+
+    def _apply(self, record: dict[str, Any]) -> None:
+        key = record.pop("key")
+        if record.get("deleted"):
+            self.entries.pop(key, None)
+        else:
+            self.entries[key] = record
+        self.lines += 1
+
+    def _catch_up(self, fh) -> int:
+        """Parse what was appended since the last read; returns the
+        length of an incomplete last line (bytes left unparsed)."""
+        header = fh.readline()
+        generation = _header_generation(header, self.path)
+        if (
+            generation is None
+            or generation != self.generation
+            or os.fstat(fh.fileno()).st_size < self.offset
+        ):
+            self._reset(generation, len(header))
+            if generation is None:
+                return 0
+        fh.seek(self.offset)
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].splitlines()
+        try:
+            for line in lines:
+                self._apply(_parse_record(line, self.path))
+        except StoreError:
+            self._reset(None, 0)  # the next read parses the whole log
+            raise
+        self.offset += end
+        _INDEX_LINES_READ.inc(len(lines))
+        return len(data) - end
+
+    def read(self) -> dict[str, dict[str, Any]]:
+        """The log's entries, after parsing only what is new (a copy)."""
+        with self.lock:
+            try:
+                with open(self.path, "rb") as fh:
+                    self._catch_up(fh)
+            except FileNotFoundError:
+                self._reset(None, 0)
+            return dict(self.entries)
+
+    def _catch_up_to_write(self) -> None:
+        """Catch up under ``index.lock`` and leave a log this schema can
+        append to: an incomplete last line is dropped (no live writer
+        holds one while the lock is held) and a missing or foreign log
+        is replaced by an empty one."""
+        try:
+            with open(self.path, "rb") as fh:
+                torn = self._catch_up(fh)
+        except FileNotFoundError:
+            self._reset(None, 0)
+            torn = 0
+        if self.generation is None:
+            self._rewrite()
+        elif torn:
+            os.truncate(self.path, self.offset)
+
+    def _rewrite(self) -> None:
+        """Replace the log by ``entries`` under a fresh generation."""
+        generation = os.urandom(16).hex()
+        header = {"version": STORE_VERSION, "generation": generation}
+        data = _record_line(header) + b"".join(
+            _record_line({"key": key, **entry})
+            for key, entry in self.entries.items()
+        )
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(self.path), prefix=".index-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, self.path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+        self.generation = generation
+        self.offset = len(data)
+        self.lines = len(self.entries)
+
+    def append(self, records: list[dict[str, Any]]) -> None:
+        """Append ``records`` in one write; compact once dead lines
+        outnumber live ones.  The caller holds ``index.lock``."""
+        data = b"".join(_record_line(record) for record in records)
+        with self.lock:
+            self._catch_up_to_write()
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                view = memoryview(data)
+                while view:  # one write(2) unless the kernel writes short
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            self.offset += len(data)
+            for record in records:
+                self._apply(dict(record))
+            if self.lines - len(self.entries) > len(self.entries):
+                self._rewrite()
+
+    def compact(self) -> None:
+        """Rewrite the log with only its live entries.  The caller holds
+        ``index.lock``."""
+        with self.lock:
+            self._catch_up_to_write()
+            self._rewrite()
+
+
+#: One :class:`_IndexLog` per resolved log path, shared by every handle
+#: this process opens on that store.
+_LOGS: dict[str, _IndexLog] = {}
+_LOGS_LOCK = threading.Lock()
+
+
+def _index_log(path: str) -> _IndexLog:
+    resolved = os.path.realpath(path)
+    with _LOGS_LOCK:
+        log = _LOGS.get(resolved)
+        if log is None:
+            log = _LOGS[resolved] = _IndexLog(resolved)
+        return log
+
+
 class ArtifactStore:
     """Directory-backed, checksum-verified store of stage products.
 
     Parameters
     ----------
     directory:
-        Store root; created if missing.  An existing ``index.json`` is
+        Store root; created if missing.  An existing ``index.jsonl`` is
         adopted, so stores persist across processes and runs.
     lock_timeout:
         Seconds to wait for the inter-process ``index.lock`` before
@@ -336,7 +578,8 @@ class ArtifactStore:
     The store is thread-safe: the stage-graph runner executes
     independent per-frontend stages concurrently and all of them read
     and write one store.  Opening a store sweeps ``.tmp-*`` payload
-    orphans left behind by writers that were killed mid-``put``.
+    orphans older than :data:`_LOCK_STALE_S` left behind by writers
+    that were killed mid-``put``.
     """
 
     def __init__(
@@ -348,66 +591,54 @@ class ArtifactStore:
         self._root = os.path.join(str(self.directory), "")
         self.lock_timeout = float(lock_timeout)
         (self.directory / _OBJECTS).mkdir(parents=True, exist_ok=True)
+        (self.directory / _TMP).mkdir(exist_ok=True)
         self._lock = threading.RLock()
-        self._index: dict[str, dict[str, Any]] = {}
-        self._sweep_orphans()
-        disk = self._read_index()
-        if disk is not None:
-            self._index = disk
+        self._log = _index_log(self._root + _INDEX)
+        self._index = self._log.read()
+        self._sweep_orphans(shards=self._log.generation is None)
 
-    def _read_index(self) -> dict[str, dict[str, Any]] | None:
-        """Parse ``index.json`` from disk (``None`` when absent).
-
-        An index of another schema version reads as no entries.
-        """
-        index_path = self.directory / _INDEX
-        if not index_path.exists():
-            return None
-        try:
-            raw = json.loads(index_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StoreError(
-                f"store index {index_path} is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(raw, dict) or not isinstance(
-            raw.get("entries"), dict
-        ):
-            raise StoreError(
-                f"store index {index_path} has an unexpected layout"
-            )
-        if raw.get("version") != STORE_VERSION:
-            return {}  # another schema: everything misses and recomputes
-        return raw["entries"]
-
-    def _sweep_orphans(self) -> int:
+    def _sweep_orphans(self, *, shards: bool) -> int:
         """Remove temp files abandoned by killed writers; returns count.
 
-        Covers payload temps (``objects/<kk>/.tmp-*``), index temps
-        (``.index-*.tmp`` in the root) and lock-breaker grabs
-        (``.lockbreak-*``), one directory scan each.  Payloads are only
-        ever published by ``os.replace`` of a completed temp, so
-        anything still carrying a temp name is garbage by construction.
+        Covers payload temps (``tmp/.tmp-*``) and index temps
+        (``.index-*.tmp`` in the root) older than :data:`_LOCK_STALE_S`,
+        and lock-breaker grabs (``.lockbreak-*``), one directory scan
+        each.  A younger temp may belong to a live writer in another
+        process that is about to publish it.  With ``shards`` the shard
+        directories are swept of ``.tmp-*`` files as well, whatever
+        their age: only earlier schemas wrote temps there.
         """
-        swept = 0
-        with os.scandir(self._root + _OBJECTS) as shards:
-            for shard in shards:
-                if shard.is_dir():
-                    swept += _unlink_matching(
-                        shard.path, lambda n: n.startswith(_TMP_PREFIX)
-                    )
+        cutoff = time.time() - _LOCK_STALE_S
+        swept = _unlink_matching(
+            self._root + _TMP,
+            lambda e: e.name.startswith(_TMP_PREFIX)
+            and _older_than(e, cutoff),
+        )
         # A lock breaker killed between rename and unlink leaves its
         # uniquely-named grab (``.lockbreak-*``) behind; the lock itself
         # is gone, so this is litter, not a held lock.
         swept += _unlink_matching(
             self._root,
-            lambda n: (n.startswith(".index-") and n.endswith(".tmp"))
-            or n.startswith(".lockbreak-"),
+            lambda e: e.name.startswith(".lockbreak-")
+            or (
+                e.name.startswith(".index-")
+                and e.name.endswith(".tmp")
+                and _older_than(e, cutoff)
+            ),
         )
+        if shards:
+            with os.scandir(self._root + _OBJECTS) as entries:
+                for shard in entries:
+                    if shard.is_dir():
+                        swept += _unlink_matching(
+                            shard.path,
+                            lambda e: e.name.startswith(_TMP_PREFIX),
+                        )
         return swept
 
     @contextmanager
     def _file_lock(self) -> Iterator[None]:
-        """Exclusive inter-process lock around index rewrites.
+        """Exclusive inter-process lock around index writes.
 
         ``O_CREAT | O_EXCL`` on ``index.lock`` with a bounded wait;
         locks older than :data:`_LOCK_STALE_S` are presumed abandoned
@@ -511,11 +742,11 @@ class ArtifactStore:
         a distributed campaign other worker processes publish stages
         through the same directory, and a worker waiting on a leased
         stage must be able to observe the winner's put without
-        reopening the store.  Disk entries never override keys this
-        process already holds (memory wins per key, matching
-        :meth:`_write_index`'s merge direction).
+        reopening the store.  Only the log lines appended since this
+        process last read the log are parsed.  Disk entries never
+        override keys this handle already holds (memory wins per key).
         """
-        disk = self._read_index()
+        disk = self._log.read()
         if not disk:
             return 0
         with self._lock:
@@ -536,38 +767,20 @@ class ArtifactStore:
     def _object_path(self, key: str, kind: str) -> Path:
         return self.directory / _OBJECTS / key[:2] / f"{key}.{_EXT[kind]}"
 
-    def _write_index(self, drop: set[str] | None = None) -> None:
-        """Rewrite ``index.json`` under the inter-process lock.
-
-        The on-disk entries are merged with this process's (memory wins
-        per key) before writing, so two campaigns sharing a store never
-        lose each other's puts to a read-modify-write race.  ``drop``
-        removes keys from both views (used by :meth:`verify`).
-        Must be called with ``self._lock`` held.
-        """
+    def _append(self, records: list[dict[str, Any]]) -> None:
+        """Append ``records`` to the index log under the inter-process
+        lock.  Must be called with ``self._lock`` held."""
         with self._file_lock():
-            disk = self._read_index() or {}
-            merged = {**disk, **self._index}
-            for key in drop or ():
-                merged.pop(key, None)
-            self._index = merged
-            # Compact encoding: the index is rewritten in full on every
-            # put, so pretty-printing multiplies encoder work and bytes
-            # across a campaign for no functional gain.
-            payload = json.dumps(
-                {"version": STORE_VERSION, "entries": merged},
-                sort_keys=True,
-            )
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".index-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self.directory / _INDEX)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
+            self._log.append(records)
+
+    def _compact(self) -> None:
+        """Rewrite the index log with only its live entries.
+
+        Writers compact on their own once superseded and tombstoned
+        lines outnumber live ones; this forces it (for tests).
+        """
+        with self._lock, self._file_lock():
+            self._log.compact()
 
     # ------------------------------------------------------------------
     # put / get
@@ -586,9 +799,10 @@ class ArtifactStore:
         provenance (stage name, frontend, corpus tag, …) and is never
         used for lookup.
 
-        The payload is written to a ``.tmp-*`` sibling and published by
-        ``os.replace``, so a writer killed mid-put can never leave a
-        half-written file under a final payload name.
+        The payload is written to a ``.tmp-*`` file in ``tmp/`` and
+        published by ``os.replace``, so a writer killed mid-put can never
+        leave a half-written file under a final payload name; then one
+        record line is appended to the index log.
         """
         ambient_plan().apply("store")
         if kind not in PAYLOAD_KINDS:
@@ -601,7 +815,9 @@ class ArtifactStore:
         with trace.span("store.put", kind=kind) as sp:
             sp.inc("bytes", len(data))
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=_TMP_PREFIX)
+            fd, tmp = tempfile.mkstemp(
+                dir=self._root + _TMP, prefix=_TMP_PREFIX
+            )
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
@@ -610,16 +826,17 @@ class ArtifactStore:
                 Path(tmp).unlink(missing_ok=True)
                 raise
             _STORE_BYTES.inc(len(data))
+            entry = {
+                "kind": kind,
+                "file": str(path.relative_to(self.directory)),
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "size": len(data),
+                "created_unix": time.time(),
+                "meta": meta or {},
+            }
             with self._lock:
-                self._index[key] = {
-                    "kind": kind,
-                    "file": str(path.relative_to(self.directory)),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                    "size": len(data),
-                    "created_unix": time.time(),
-                    "meta": meta or {},
-                }
-                self._write_index()
+                self._index[key] = entry
+                self._append([{"key": key, **entry}])
 
     def get(self, key: str) -> Any:
         """Load and return the payload under ``key``.
@@ -684,7 +901,7 @@ class ArtifactStore:
             if entry is None:
                 return False
             (self.directory / entry["file"]).unlink(missing_ok=True)
-            self._write_index(drop={key})
+            self._append([{"key": key, "deleted": True}])
         return True
 
     # ------------------------------------------------------------------
@@ -725,5 +942,7 @@ class ArtifactStore:
                         )
                 for key in bad_keys:
                     self._index.pop(key, None)
-                self._write_index(drop=bad_keys)
+                self._append(
+                    [{"key": key, "deleted": True} for key in sorted(bad_keys)]
+                )
         return corrupt

@@ -273,8 +273,15 @@ class TestFlatCodec:
             store.get("8" * 64)
 
 
+def _log_lines(directory) -> list[dict]:
+    """Every line of the store's index log, parsed: header first."""
+    data = (directory / "index.jsonl").read_bytes()
+    return [json.loads(line) for line in data.splitlines()]
+
+
 def _downgrade_to_v1(store: ArtifactStore) -> None:
-    """Rewrite ``store`` as the schema-1 layout: ``.npz`` payloads."""
+    """Rewrite ``store`` as the schema-1 layout: ``.npz`` payloads under
+    an ``index.json``, and no index log."""
     entries = {}
     for key in store.keys():
         entry = store.entry(key)
@@ -300,6 +307,7 @@ def _downgrade_to_v1(store: ArtifactStore) -> None:
     (store.directory / "index.json").write_text(
         json.dumps({"version": 1, "entries": entries})
     )
+    (store.directory / "index.jsonl").unlink()
 
 
 class TestSchema:
@@ -313,10 +321,10 @@ class TestSchema:
         with pytest.raises(KeyError):
             old.get("a" * 64)
         old.put("c" * 64, "json", {"x": 2})
-        raw = json.loads((old.directory / "index.json").read_text())
+        header, *records = _log_lines(old.directory)
         # The next write keeps none of the schema-1 entries.
-        assert raw["version"] == STORE_VERSION == 2
-        assert list(raw["entries"]) == ["c" * 64]
+        assert header["version"] == STORE_VERSION == 3
+        assert [record["key"] for record in records] == ["c" * 64]
         assert ArtifactStore(tmp_path / "store").keys() == ["c" * 64]
 
     def test_refresh_ignores_a_version_one_index(self, store):
@@ -387,21 +395,33 @@ class TestPersistence:
 
     def test_index_is_valid_json(self, store):
         store.put("a" * 64, "json", 1)
-        raw = json.loads((store.directory / "index.json").read_text())
-        assert raw["version"] == 2
-        assert "a" * 64 in raw["entries"]
+        header, *records = _log_lines(store.directory)
+        assert header["version"] == 3
+        assert len(header["generation"]) == 32
+        assert [record["key"] for record in records] == ["a" * 64]
+        assert records[0]["sha256"] == store.entry("a" * 64)["sha256"]
 
     def test_bad_index_rejected(self, tmp_path):
         root = tmp_path / "broken"
         root.mkdir()
-        (root / "index.json").write_text("{not json")
+        (root / "index.jsonl").write_text("{not json\n")
+        with pytest.raises(StoreError, match="not valid JSON"):
+            ArtifactStore(root)
+        # A malformed complete entry line is rejected as well.
+        header = {"version": STORE_VERSION, "generation": "1" * 32}
+        (root / "index.jsonl").write_text(json.dumps(header) + "\n{not\n")
         with pytest.raises(StoreError, match="not valid JSON"):
             ArtifactStore(root)
 
     def test_wrong_layout_rejected(self, tmp_path):
         root = tmp_path / "layout"
         root.mkdir()
-        (root / "index.json").write_text('{"entries": []}')
+        (root / "index.jsonl").write_text('{"entries": []}\n')
+        with pytest.raises(StoreError, match="unexpected layout"):
+            ArtifactStore(root)
+        # An entry line that is JSON but no record is rejected as well.
+        header = {"version": STORE_VERSION, "generation": "2" * 32}
+        (root / "index.jsonl").write_text(json.dumps(header) + "\n[]\n")
         with pytest.raises(StoreError, match="unexpected layout"):
             ArtifactStore(root)
 
@@ -439,13 +459,19 @@ class TestAccounting:
 
 class TestHygiene:
     def test_orphan_temps_swept_on_open(self, tmp_path):
+        import os
+        import time
+
         store = ArtifactStore(tmp_path / "store")
         store.put("a" * 64, "json", {"x": 1})
-        shard = store.directory / "objects" / "aa"
-        orphan = shard / ".tmp-killed.json"
+        orphan = store.directory / "tmp" / ".tmp-killed"
         orphan.write_text("partial")
         index_orphan = store.directory / ".index-killed.tmp"
         index_orphan.write_text("partial")
+        # Only temps older than the stale window are a dead writer's.
+        stale = time.time() - 120.0
+        os.utime(orphan, (stale, stale))
+        os.utime(index_orphan, (stale, stale))
         reopened = ArtifactStore(tmp_path / "store")
         assert not orphan.exists()
         assert not index_orphan.exists()
