@@ -150,9 +150,9 @@ class LdaMmiFusion:
         """Fitted calibration state (weights + LDA + Gaussian models).
 
         Flat mapping of arrays/scalars (nested components use dotted key
-        prefixes) so the artifact store can persist it to one ``.npz``;
-        :meth:`from_state` restores a backend whose :meth:`transform`
-        output is bitwise identical.
+        prefixes) so a saved system can persist it as one flat
+        :mod:`repro.utils.payload` file; :meth:`from_state` restores a
+        backend whose :meth:`transform` output is bitwise identical.
         """
         if not self.is_fitted:
             raise RuntimeError("cannot serialise an unfitted fusion backend")

@@ -424,7 +424,7 @@ def cmd_exec_verify(args) -> int:
 
     Also accepts a *saved-system* directory (``save_system`` output,
     detected by its ``manifest.json``): those get the full-SHA-256 audit
-    of :func:`repro.serve.verify_system`, which re-hashes the ``.npy``
+    of :func:`repro.serve.verify_system`, which re-hashes the ``.bin``
     weight payloads the fast ``mmap`` load path only size-checks.
     """
     from pathlib import Path

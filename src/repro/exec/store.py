@@ -24,23 +24,16 @@ Layout of a store directory::
     tmp/                            payload temps in flight
 
 Payloads of kind ``sparse``, ``array`` and ``arrays`` are ``.bin`` files
-in a flat format: a 4-byte little-endian header length, a JSON member
-table of ``[name, dtype.str, shape, offset, nbytes]`` rows, then the
-members' raw C-order buffers (offsets count from the end of the
-header).  A ``sparse`` payload holds the members ``dim``, ``indptr``,
-``indices`` and ``values``; an ``array`` payload the one member
-``value``.  Members keep their exact dtype, byte order included;
-object dtypes are rejected.  ``json`` payloads are ``.json`` text.
+in the flat codec of :mod:`repro.utils.payload`, which the saved systems
+of :mod:`repro.serve.artifacts` use too.  A ``sparse`` payload holds the
+members ``dim``, ``indptr``, ``indices`` and ``values``; an ``array``
+payload the one member ``value``.  ``json`` payloads are ``.json`` text.
 
-Every :meth:`~ArtifactStore.get` reads its payload file once into an
-owned buffer and both verifies the recorded SHA-256 and parses the
-arrays from that one buffer, so what is returned is exactly what was
-verified.  The arrays are writable views over that buffer, not
-per-member copies: the read places the member data at a 16-byte
-boundary, and only a member that still sits off its dtype's alignment
-is copied.  A mismatch raises :class:`StoreCorruptionError` rather than
-returning stale or tampered data (the same hard-fail posture as
-:mod:`repro.serve.artifacts`).
+Every :meth:`~ArtifactStore.get` reads its payload file once, verifies
+the recorded SHA-256 and returns writable views over those same bytes,
+so what is returned is exactly what was verified.  A mismatch raises
+:class:`StoreCorruptionError` rather than returning stale or tampered
+data (the same hard-fail posture as :mod:`repro.serve.artifacts`).
 
 The index log carries a schema ``version`` (:data:`STORE_VERSION`).  A
 directory whose only index is an older ``index.json`` — schema 1 stored
@@ -93,7 +86,8 @@ schema ever does.
 
 In memory a handle knows its own puts and what it read at open;
 :meth:`~ArtifactStore.refresh` adds the keys other handles and
-processes published since (memory wins per key).
+processes published since (memory wins per key) and drops the keys
+they deleted.
 :meth:`ArtifactStore.verify` re-hashes every payload against the index
 (``repro exec verify STORE`` from the CLI) and can drop corrupt
 entries so the next run recomputes them.
@@ -117,7 +111,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import tempfile
 import threading
 import time
@@ -130,6 +123,13 @@ import numpy as np
 from repro.faults.injection import ambient_plan
 from repro.obs import trace
 from repro.obs.metrics import default_registry
+from repro.utils.payload import (
+    PayloadMismatch,
+    decode_members,
+    encode_members,
+    file_problem,
+    read_verified,
+)
 from repro.utils.sparse import SparseMatrix
 
 __all__ = [
@@ -161,10 +161,6 @@ _TMP = "tmp"
 _EXT = {"sparse": "bin", "array": "bin", "arrays": "bin", "json": "json"}
 #: Fields every entry record of the index log carries.
 _ENTRY_FIELDS = frozenset({"kind", "file", "sha256"})
-#: Length prefix of a flat payload's JSON member table.
-_HEADER_LEN = struct.Struct("<I")
-#: Alignment of a read payload's member data (any numpy dtype's).
-_ALIGN = 16
 
 _LOCK = "index.lock"
 #: A lock file older than this is presumed abandoned (killed writer)
@@ -219,63 +215,12 @@ def stage_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _encode_members(members: dict[str, Any]) -> bytes:
-    """Flat payload of named arrays (see the module docstring)."""
-    table: list[list[Any]] = []
-    buffers: list[bytes] = []
-    offset = 0
-    for name, value in members.items():
-        arr = np.asarray(value)
-        if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
-            raise TypeError(
-                f"store member {name!r} has dtype {arr.dtype}, which has "
-                "no flat encoding"
-            )
-        buf = arr.tobytes()  # C order, in the array's own byte order
-        table.append(
-            [str(name), arr.dtype.str, list(arr.shape), offset, len(buf)]
-        )
-        buffers.append(buf)
-        offset += len(buf)
-    header = json.dumps(table, separators=(",", ":")).encode()
-    return b"".join([_HEADER_LEN.pack(len(header)), header, *buffers])
-
-
-def _decode_members(buf: np.ndarray, begin: int) -> dict[str, np.ndarray]:
-    """Named arrays of the flat payload at ``buf[begin:]``.
-
-    Each member is a writable view over ``buf``, the owned buffer
-    :meth:`ArtifactStore.get` read the payload into; members never
-    overlap, so writing one leaves the others alone.  A member whose
-    bytes do not sit at its dtype's alignment is copied instead, so
-    every returned array computes exactly as a freshly allocated one.
-    """
-    (header_len,) = _HEADER_LEN.unpack_from(buf, begin)
-    start = begin + _HEADER_LEN.size
-    members: dict[str, np.ndarray] = {}
-    for name, dtype_str, shape, offset, nbytes in json.loads(
-        buf[start : start + header_len].tobytes().decode()
-    ):
-        dtype = np.dtype(dtype_str)
-        if not nbytes:
-            members[name] = np.empty(shape, dtype=dtype)
-            continue
-        flat = np.frombuffer(
-            buf, dtype=dtype, count=nbytes // dtype.itemsize,
-            offset=start + header_len + offset,
-        )
-        if not flat.flags.aligned:
-            flat = flat.copy()
-        members[name] = flat.reshape(shape)
-    return members
-
-
 def _encode(kind: str, value: Any) -> bytes:
     """Payload bytes of ``value`` as payload kind ``kind``."""
     if kind == "sparse":
         if not isinstance(value, SparseMatrix):
             raise TypeError("kind 'sparse' requires a SparseMatrix")
-        return _encode_members(
+        return encode_members(
             {
                 "dim": np.int64(value.dim),
                 "indptr": value.indptr,
@@ -284,7 +229,7 @@ def _encode(kind: str, value: Any) -> bytes:
             }
         )
     if kind == "array":
-        return _encode_members(
+        return encode_members(
             {"value": np.asarray(value, dtype=np.float64)}
         )
     if kind == "arrays":
@@ -292,7 +237,7 @@ def _encode(kind: str, value: Any) -> bytes:
             raise TypeError(
                 "kind 'arrays' requires a non-empty dict of arrays"
             )
-        return _encode_members(value)
+        return encode_members(value)
     return json.dumps(value, sort_keys=True, default=list).encode()
 
 
@@ -300,7 +245,7 @@ def _decode(kind: str, buf: np.ndarray, begin: int) -> Any:
     """Inverse of :func:`_encode` for the payload at ``buf[begin:]``."""
     if kind == "json":
         return json.loads(buf[begin:].tobytes())
-    members = _decode_members(buf, begin)
+    members = decode_members(buf, begin)
     if kind == "sparse":
         return SparseMatrix(
             int(members["dim"]),
@@ -311,37 +256,6 @@ def _decode(kind: str, buf: np.ndarray, begin: int) -> Any:
     if kind == "array":
         return members["value"]
     return members
-
-
-def _read_payload(path: str) -> tuple[np.ndarray, int]:
-    """A payload file read once into an owned buffer.
-
-    Returns ``(buf, begin)``: the file's bytes are ``buf[begin:]``.
-    ``begin`` is chosen so a flat payload's member data, after its
-    header, starts :data:`_ALIGN`-aligned, which lets
-    :func:`_decode_members` hand out views instead of copies.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER_LEN.size)
-        buf = np.empty(size + _ALIGN, dtype=np.uint8)
-        begin = 0
-        if len(head) == _HEADER_LEN.size:
-            (header_len,) = _HEADER_LEN.unpack(head)
-            data_at = buf.ctypes.data + _HEADER_LEN.size + header_len
-            begin = -data_at % _ALIGN
-        view = memoryview(buf)[begin : begin + size]
-        view[: len(head)] = head
-        read = len(head)
-        # One read(2) returns at most about 2 GiB, so large payloads
-        # take several; a file that shrank under the read comes back
-        # short and fails its checksum.
-        while read < size:
-            n = fh.readinto(view[read:])
-            if not n:
-                break
-            read += n
-    return buf[: begin + read], begin
 
 
 def _unlink_matching(
@@ -366,14 +280,6 @@ def _older_than(entry: os.DirEntry, cutoff: float) -> bool:
         return entry.stat().st_mtime < cutoff
     except FileNotFoundError:
         return False
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 def _record_line(record: dict[str, Any]) -> bytes:
@@ -423,13 +329,16 @@ class _IndexLog:
     ``entries`` holds what the log's complete lines up to ``offset``
     say, for the log of ``generation`` (``None``: no log of this
     schema).  ``lines`` counts the entry lines behind ``entries``, live
-    or not, which decides compaction.  Every method runs under
+    or not, which decides compaction.  ``seen`` maps each key this
+    process ever parsed or appended an entry for to its last ``sha256``,
+    across tombstones and re-parses.  Every method runs under
     ``self.lock``; the writers also hold the store's ``index.lock``.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.lock = threading.Lock()
+        self.seen: dict[str, str] = {}
         self._reset(None, 0)
 
     def _reset(self, generation: str | None, offset: int) -> None:
@@ -444,6 +353,7 @@ class _IndexLog:
             self.entries.pop(key, None)
         else:
             self.entries[key] = record
+            self.seen[key] = record["sha256"]
         self.lines += 1
 
     def _catch_up(self, fh) -> int:
@@ -482,6 +392,19 @@ class _IndexLog:
             except FileNotFoundError:
                 self._reset(None, 0)
             return dict(self.entries)
+
+    def deleted(self, index: dict[str, dict[str, Any]]) -> list[str]:
+        """Keys of ``index`` the log held with the same ``sha256`` and
+        no longer holds (none without a log of this schema)."""
+        with self.lock:
+            if self.generation is None:
+                return []
+            return [
+                key
+                for key, entry in index.items()
+                if key not in self.entries
+                and self.seen.get(key) == entry["sha256"]
+            ]
 
     def _catch_up_to_write(self) -> None:
         """Catch up under ``index.lock`` and leave a log this schema can
@@ -744,15 +667,18 @@ class ArtifactStore:
         stage must be able to observe the winner's put without
         reopening the store.  Only the log lines appended since this
         process last read the log are parsed.  Disk entries never
-        override keys this handle already holds (memory wins per key).
+        override keys this handle already holds (memory wins per key),
+        but a key another handle or process deleted — the log held it
+        with the same ``sha256`` and no longer does — is dropped, so a
+        lookup misses rather than finds its payload gone.
         """
-        disk = self._log.read()
-        if not disk:
-            return 0
         with self._lock:
-            before = len(self._index)
+            disk = self._log.read()
+            for key in self._log.deleted(self._index):
+                del self._index[key]
+            added = len(disk.keys() - self._index.keys())
             self._index = {**disk, **self._index}
-            return len(self._index) - before
+            return added
 
     def entry(self, key: str) -> dict[str, Any]:
         """The index entry for ``key`` (a copy; raises ``KeyError``)."""
@@ -855,19 +781,19 @@ class ArtifactStore:
             raise KeyError(f"no artifact stored under key {key[:12]}…")
         with trace.span("store.get", kind=entry["kind"]) as sp:
             try:
-                buf, begin = _read_payload(self._root + entry["file"])
+                buf, begin = read_verified(
+                    self._root + entry["file"], entry["sha256"]
+                )
             except FileNotFoundError:
                 raise StoreCorruptionError(
                     f"artifact payload {entry['file']} is missing from disk"
                 ) from None
-            sp.inc("bytes", len(buf) - begin)
-            actual = hashlib.sha256(memoryview(buf)[begin:]).hexdigest()
-            if actual != entry["sha256"]:
+            except PayloadMismatch as exc:
                 raise StoreCorruptionError(
                     f"artifact payload {entry['file']} failed checksum "
-                    f"verification (sha256 {actual[:12]}… != index "
-                    f"{entry['sha256'][:12]}…)"
-                )
+                    f"verification ({exc} in the index)"
+                ) from None
+            sp.inc("bytes", len(buf) - begin)
             value = _decode(entry["kind"], buf, begin)
         _STORE_HITS.inc()
         return value
@@ -920,18 +846,12 @@ class ArtifactStore:
         """
         with self._lock:
             entries = {k: dict(v) for k, v in self._index.items()}
-        corrupt: list[dict[str, Any]] = []
-        for key in sorted(entries):
-            entry = entries[key]
-            path = self.directory / entry["file"]
-            if not path.exists():
-                corrupt.append(
-                    {"key": key, "file": entry["file"], "problem": "missing"}
-                )
-            elif _file_sha256(path) != entry["sha256"]:
-                corrupt.append(
-                    {"key": key, "file": entry["file"], "problem": "checksum"}
-                )
+        root = self._root
+        corrupt = [
+            {"key": key, "file": entry["file"], "problem": problem}
+            for key, entry in sorted(entries.items())
+            if (problem := file_problem(root + entry["file"], entry["sha256"]))
+        ]
         if remove and corrupt:
             bad_keys = {record["key"] for record in corrupt}
             with self._lock:

@@ -9,35 +9,30 @@ calibration backend, and the generating
 writes all of that to a directory:
 
 ``manifest.json``
-    schema version, creation metadata, the config fingerprint and a
-    SHA-256 per payload file (integrity-checked at load);
+    schema version (:data:`SCHEMA_VERSION`), creation metadata, the
+    config fingerprint and a ``sha256`` and ``bytes`` value per file;
 ``config.json``
     the full experiment config (used to regenerate corpora and the
     deterministic decode RNG streams);
 ``frontends.pkl``
     the trained recognizers (pickle — they embed trained AMs/decoders);
-``vsm__*/<key>.npy`` / ``fusion/<key>.npy``
-    array state dicts, **one uncompressed ``.npy`` per state key**
-    (schema 2; schema 1 used ``.npz`` bundles).  Plain ``.npy`` files
-    are the format :func:`numpy.load` can open with ``mmap_mode="r"``,
-    which is what makes the cluster tier cheap: N worker processes
-    mapping the same payload files share one page-cache copy of the SVM
-    weight matrices instead of N private heap copies.
+``vsm__NN_<frontend>.bin`` / ``fusion.bin``
+    one state dict each, in the flat :mod:`repro.utils.payload` codec
+    the artifact store uses too: every array at a 16-byte-aligned file
+    offset.  (Schema 2 used one ``.npy`` per state key.)
 
-:func:`load_system` refuses to load when the schema version is unknown,
-when a payload file was corrupted, or when the stored config no longer
+:func:`load_system` refuses an older schema (re-export it with ``repro
+export``), a corrupted payload, or a stored config that no longer
 matches the fingerprint recorded at export time (a **hard failure** —
 scoring with a silently drifted config would return wrong-but-plausible
-scores).  With ``mmap=True`` the array payloads are opened read-only via
-``mmap_mode="r"`` instead of being hashed and copied into the heap: the
-SHA-256 recorded at export still pins the bytes, but the open-time check
-for mapped arrays is manifest-based (existence + exact byte size) so a
-multi-gigabyte model opens in milliseconds and its pages are only
-faulted in — and shared across processes — as scoring touches them.
-Non-array payloads (the pickle, the config) are always fully
-hash-verified.  Round-trip fidelity is exact either way: a reloaded
-system reproduces the exporting system's dev/test scores bit for bit
-(enforced by ``tests/serve/test_artifacts.py``).
+scores).  An eager load reads each file once, checks its SHA-256 and
+parses it from the same bytes.  With ``mmap=True`` the ``.bin``
+payloads are mapped read-only after an exact byte-size check instead:
+the arrays are read-only views over the ``mmap.mmap``, so a large model
+opens in milliseconds and the cluster's worker processes share its
+pages.  The config and the pickle are always fully hash-verified.  A
+reloaded system reproduces the exporting system's dev/test scores bit
+for bit either way (enforced by ``tests/serve/test_artifacts.py``).
 """
 
 from __future__ import annotations
@@ -48,13 +43,20 @@ import json
 import pickle
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import Any
 
 from repro.backend.fusion import LdaMmiFusion
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.corpus.splits import CorpusConfig
+from repro.obs import trace
 from repro.svm.vsm import VSM
+from repro.utils.payload import (
+    decode_members,
+    encode_members,
+    file_problem,
+    map_members,
+    read_verified,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -70,12 +72,13 @@ __all__ = [
 #: Artifact layout version; bump on any incompatible change.
 #: 2: per-key ``.npy`` array payloads (mmap-able) replace ``.npz``
 #: bundles; the manifest additionally records per-file byte sizes.
-SCHEMA_VERSION = 2
+#: 3: one flat :mod:`repro.utils.payload` ``.bin`` per state dict.
+SCHEMA_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _CONFIG = "config.json"
 _FRONTENDS = "frontends.pkl"
-_FUSION_DIR = "fusion"
+_FUSION = "fusion.bin"
 
 
 class ArtifactError(RuntimeError):
@@ -180,63 +183,6 @@ def export_trained(
 # ----------------------------------------------------------------------
 # (de)serialisation helpers
 # ----------------------------------------------------------------------
-def _save_state_npy(
-    directory: Path, subdir: str, state: dict, files: dict[str, dict]
-) -> None:
-    """Write one state dict as per-key ``.npy`` files under ``subdir``.
-
-    Every value (arrays, scalars, strings) goes through ``np.asarray``
-    into its own uncompressed ``.npy`` — the only numpy container
-    ``mmap_mode`` can open.  Each file's SHA-256 and byte size are
-    recorded in ``files`` keyed by artifact-relative path.
-    """
-    target = directory / subdir
-    target.mkdir(parents=True, exist_ok=True)
-    for key, value in state.items():
-        path = target / f"{key}.npy"
-        np.save(path, np.asarray(value))
-        files[f"{subdir}/{key}.npy"] = {
-            "sha256": _file_sha256(path),
-            "bytes": path.stat().st_size,
-        }
-
-
-def _load_state_npy(
-    directory: Path, subdir: str, manifest: dict, *, mmap: bool
-) -> dict:
-    """Rebuild a state dict from the ``.npy`` files listed for ``subdir``.
-
-    With ``mmap=True`` arrays come back as read-only ``np.memmap`` views
-    (zero heap copy; pages shared across processes through the page
-    cache).  0-d entries (scalars, strings, flags) are always unwrapped
-    to plain numpy scalars — there is nothing to share in 8 bytes, and
-    ``from_state`` implementations expect ``int()``/``str()`` to work.
-    """
-    prefix = f"{subdir}/"
-    state: dict = {}
-    for relpath in manifest["files"]:
-        if not relpath.startswith(prefix) or not relpath.endswith(".npy"):
-            continue
-        key = relpath[len(prefix) : -len(".npy")]
-        array = np.load(
-            directory / relpath,
-            mmap_mode="r" if mmap else None,
-            allow_pickle=False,
-        )
-        state[key] = array[()] if array.ndim == 0 else array
-    if not state:
-        raise ArtifactError(f"artifact has no payloads under {subdir!r}")
-    return state
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
@@ -254,8 +200,18 @@ def _config_from_dict(payload: dict) -> ExperimentConfig:
     )
 
 
-def _vsm_dirname(index: int, frontend_name: str) -> str:
-    return f"vsm__{index:02d}_{frontend_name}"
+def _vsm_file(index: int, frontend_name: str) -> str:
+    return f"vsm__{index:02d}_{frontend_name}.bin"
+
+
+def _read_manifest(directory: Path) -> dict:
+    manifest_path = directory / _MANIFEST
+    try:
+        return json.loads(manifest_path.read_bytes())
+    except FileNotFoundError:
+        raise ArtifactError(f"no manifest at {manifest_path}") from None
+    except ValueError as exc:
+        raise ArtifactError(f"unreadable manifest at {manifest_path}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -272,39 +228,29 @@ def save_system(
     ``metadata`` (JSON-able) is stored verbatim in the manifest — use it
     to record provenance such as the exporting command or DBA settings.
 
-    Every payload's SHA-256 and byte size are computed here, once, and
-    pinned in the manifest; loaders check against the manifest instead
-    of trusting the filesystem.
+    Every payload's SHA-256 and byte size are computed here, once, from
+    the bytes written, and pinned in the manifest; loaders check against
+    the manifest instead of trusting the filesystem.
     """
+    config = _config_to_dict(trained.config)
+    payloads = {
+        _CONFIG: json.dumps(config, indent=2, default=list).encode(),
+        _FRONTENDS: pickle.dumps(trained.frontends, pickle.HIGHEST_PROTOCOL),
+        **{
+            _vsm_file(i, fe_name): encode_members(vsm.state_dict())
+            for i, (fe_name, vsm) in enumerate(trained.subsystems)
+        },
+        _FUSION: encode_members(trained.fusion.state_dict()),
+    }
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, dict] = {}
-
-    config_path = directory / _CONFIG
-    config_path.write_text(
-        json.dumps(_config_to_dict(trained.config), indent=2, default=list)
-    )
-    files[_CONFIG] = {
-        "sha256": _file_sha256(config_path),
-        "bytes": config_path.stat().st_size,
-    }
-
-    frontends_path = directory / _FRONTENDS
-    with open(frontends_path, "wb") as fh:
-        pickle.dump(trained.frontends, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    files[_FRONTENDS] = {
-        "sha256": _file_sha256(frontends_path),
-        "bytes": frontends_path.stat().st_size,
-    }
-
-    subsystem_names = []
-    for i, (fe_name, vsm) in enumerate(trained.subsystems):
-        _save_state_npy(
-            directory, _vsm_dirname(i, fe_name), vsm.state_dict(), files
-        )
-        subsystem_names.append(fe_name)
-
-    _save_state_npy(directory, _FUSION_DIR, trained.fusion.state_dict(), files)
+    for name, data in payloads.items():
+        (directory / name).write_bytes(data)
+        files[name] = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -312,7 +258,7 @@ def save_system(
         "config_sha256": config_fingerprint(trained.config),
         "languages": list(trained.language_names),
         "frontends": [fe.name for fe in trained.frontends],
-        "subsystems": subsystem_names,
+        "subsystems": [fe_name for fe_name, _ in trained.subsystems],
         "files": files,
         "metadata": metadata or {},
     }
@@ -323,36 +269,21 @@ def save_system(
 def verify_system(directory: str | Path) -> list[dict[str, str]]:
     """Fully re-hash every payload of a saved system against its manifest.
 
-    Unlike the ``mmap=True`` load path — which by design checks mapped
-    ``.npy`` payloads by existence and byte size only, so a same-length
-    bit flip in a weight matrix would go unnoticed until it skewed a
-    score — this audit computes the SHA-256 of **every** listed file,
-    array payloads included, and compares it to the digest pinned at
-    export time.
-
-    Returns one record per problem: ``{"file", "problem"}`` where
-    ``problem`` is ``"missing"`` or ``"checksum"``.  An empty list means
+    Unlike the ``mmap=True`` load path, which checks mapped payloads by
+    exact byte size only (a same-length bit flip in a weight matrix
+    would skew scores unnoticed), this audit hashes **every** listed
+    file.  Returns one ``{"file", "problem"}`` record per problem, where
+    ``problem`` is ``"missing"`` or ``"checksum"``; an empty list means
     the artifact is byte-for-byte what :func:`save_system` wrote.  A
-    missing or unreadable manifest raises :class:`ArtifactError` — with
-    no digests there is nothing to verify against.
+    missing or unreadable manifest raises :class:`ArtifactError`.
     """
     directory = Path(directory)
-    manifest_path = directory / _MANIFEST
-    if not manifest_path.exists():
-        raise ArtifactError(f"no manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"unreadable manifest at {manifest_path}") from exc
-    problems: list[dict[str, str]] = []
-    for name in sorted(manifest.get("files", {})):
-        entry = manifest["files"][name]
-        path = directory / name
-        if not path.exists():
-            problems.append({"file": name, "problem": "missing"})
-        elif _file_sha256(path) != entry["sha256"]:
-            problems.append({"file": name, "problem": "checksum"})
-    return problems
+    manifest = _read_manifest(directory)
+    return [
+        {"file": name, "problem": problem}
+        for name, entry in sorted(manifest.get("files", {}).items())
+        if (problem := file_problem(directory / name, entry["sha256"]))
+    ]
 
 
 def load_system(
@@ -363,84 +294,78 @@ def load_system(
 ) -> TrainedSystem:
     """Load a :class:`TrainedSystem` saved by :func:`save_system`.
 
-    Raises :class:`ArtifactError` when the schema version is unsupported,
-    a payload file is missing or corrupted, or the stored config's
-    fingerprint does not match the one recorded at export time.  Passing
-    ``expected_config`` additionally pins the artifact to a caller-side
-    config (e.g. the one a server was asked to assume).
-
-    With ``mmap=True`` the ``.npy`` array payloads open as read-only
-    memory maps (one shared page-cache copy across however many worker
-    processes load the same directory).  Mapped payloads are checked
-    against the manifest by existence and exact byte size instead of
-    being fully hashed — hashing would fault in every page and defeat
-    the lazy open; the export-time SHA-256 still pins the bytes for
-    ``mmap=False`` loads and offline audits.  Non-array payloads are
-    fully hash-verified in both modes.  :func:`verify_system` (exposed
-    as ``repro exec verify <dir>``) re-hashes everything, catching the
-    same-length corruption the mapped fast path cannot.
+    Raises :class:`ArtifactError` on another schema version, a missing
+    or corrupted payload, or a config that no longer fingerprints as at
+    export time (see the module docstring for the eager and ``mmap``
+    checks).  Passing ``expected_config`` additionally pins the artifact
+    to a caller-side config (e.g. the one a server was asked to assume).
+    :func:`verify_system` (``repro exec verify <dir>``) re-hashes
+    everything, catching the same-length corruption the mapped path
+    cannot.  The load runs under an ``artifact.load`` trace span whose
+    ``files`` and ``bytes`` counters count the payloads opened.
     """
     directory = Path(directory)
-    manifest_path = directory / _MANIFEST
-    if not manifest_path.exists():
-        raise ArtifactError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ArtifactError(
-            f"artifact schema version {version!r} unsupported "
-            f"(this build reads version {SCHEMA_VERSION})"
-        )
-    for name, entry in manifest["files"].items():
-        path = directory / name
-        if not path.exists():
-            raise ArtifactError(f"artifact payload {name!r} is missing")
-        if mmap and name.endswith(".npy"):
-            actual_bytes = path.stat().st_size
-            if actual_bytes != entry["bytes"]:
-                raise ArtifactError(
-                    f"artifact payload {name!r} is corrupted "
-                    f"({actual_bytes} bytes != manifest {entry['bytes']})"
-                )
-            continue
-        actual = _file_sha256(path)
-        if actual != entry["sha256"]:
+    with trace.span("artifact.load", mmap=mmap) as sp:
+        manifest = _read_manifest(directory)
+        version = manifest.get("schema_version")
+        if version != SCHEMA_VERSION:
             raise ArtifactError(
-                f"artifact payload {name!r} is corrupted "
-                f"(sha256 {actual[:12]}… != manifest "
-                f"{entry['sha256'][:12]}…)"
+                f"artifact schema version {version!r} unsupported (this "
+                f"build reads version {SCHEMA_VERSION}); re-export the "
+                "system with `repro export`"
             )
 
-    config = _config_from_dict(json.loads((directory / _CONFIG).read_text()))
-    fingerprint = config_fingerprint(config)
-    if fingerprint != manifest["config_sha256"]:
-        raise ArtifactError(
-            "config hash mismatch: stored config fingerprints to "
-            f"{fingerprint[:12]}… but the manifest pinned "
-            f"{manifest['config_sha256'][:12]}… — refusing to score with a "
-            "drifted configuration"
-        )
-    if expected_config is not None and (
-        config_fingerprint(expected_config) != fingerprint
-    ):
-        raise ArtifactError(
-            "artifact was exported under a different experiment config "
-            "than the one expected by the caller"
-        )
+        def read(name: str, *, arrays: bool) -> Any:
+            """Payload ``name``: its verified bytes, or its members."""
+            entry = manifest["files"].get(name)
+            path = str(directory / name)
+            try:
+                if entry is None:
+                    raise FileNotFoundError(path)
+                if arrays and mmap:
+                    value = map_members(path, entry["bytes"])
+                else:
+                    buf, begin = read_verified(path, entry["sha256"])
+                    value = memoryview(buf)[begin:]
+                    if arrays:
+                        value = decode_members(buf, begin)
+            except FileNotFoundError:
+                raise ArtifactError(
+                    f"artifact payload {name!r} is missing"
+                ) from None
+            except (ValueError, TypeError) as exc:
+                # PayloadMismatch, or a mapped payload's garbled table
+                raise ArtifactError(
+                    f"artifact payload {name!r} is corrupted ({exc})"
+                ) from None
+            sp.inc("files")
+            sp.inc("bytes", entry["bytes"])
+            return value
 
-    with open(directory / _FRONTENDS, "rb") as fh:
-        frontends = pickle.load(fh)
-
-    subsystems: list[tuple[str, VSM]] = []
-    for i, fe_name in enumerate(manifest["subsystems"]):
-        state = _load_state_npy(
-            directory, _vsm_dirname(i, fe_name), manifest, mmap=mmap
+        config = _config_from_dict(
+            json.loads(bytes(read(_CONFIG, arrays=False)))
         )
-        subsystems.append((fe_name, VSM.from_state(state)))
-    fusion = LdaMmiFusion.from_state(
-        _load_state_npy(directory, _FUSION_DIR, manifest, mmap=mmap)
-    )
+        fingerprint = config_fingerprint(config)
+        if fingerprint != manifest["config_sha256"]:
+            raise ArtifactError(
+                "config hash mismatch: stored config fingerprints to "
+                f"{fingerprint[:12]}… but the manifest pinned "
+                f"{manifest['config_sha256'][:12]}… — refusing to score "
+                "with a drifted configuration"
+            )
+        if expected_config is not None and (
+            config_fingerprint(expected_config) != fingerprint
+        ):
+            raise ArtifactError(
+                "artifact was exported under a different experiment config "
+                "than the one expected by the caller"
+            )
+        frontends = pickle.loads(read(_FRONTENDS, arrays=False))
+        subsystems = [
+            (fe_name, VSM.from_state(read(_vsm_file(i, fe_name), arrays=True)))
+            for i, fe_name in enumerate(manifest["subsystems"])
+        ]
+        fusion = LdaMmiFusion.from_state(read(_FUSION, arrays=True))
 
     return TrainedSystem(
         config=config,

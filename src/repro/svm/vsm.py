@@ -88,9 +88,10 @@ class VSM:
         """Fitted subsystem state (TFLLR scaling + OvR weights).
 
         The returned mapping contains only arrays, scalars and strings,
-        so it can be persisted to a single ``.npz`` by the artifact
-        store; :meth:`from_state` restores a scorer whose
-        :meth:`score_matrix` output is bitwise identical.
+        so it can be persisted as one flat :mod:`repro.utils.payload`
+        file by the artifact store and a saved system;
+        :meth:`from_state` restores a scorer whose :meth:`score_matrix`
+        output is bitwise identical.
         """
         state = {
             "n_phones": self.extractor.layout.n_phones,

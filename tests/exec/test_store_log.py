@@ -12,6 +12,7 @@ import threading
 import uuid
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,8 +121,10 @@ def test_interleavings_match_model_and_full_parse(tmp_path, n_handles, ops):
             handles[h] = ArtifactStore(directory)
             memory[h] = set(disk)
         elif op == "refresh":
+            # Every held key was read or put through this process's log
+            # with the same value, so a key the log lost was deleted.
             assert store.refresh() == len(disk - memory[h])
-            memory[h] |= disk
+            memory[h] = set(disk)
         elif op == "compact":
             store._compact()
         elif (directory / "index.jsonl").exists():
@@ -274,6 +277,42 @@ def test_open_scans_two_directories_whatever_the_shard_count(
     monkeypatch.undo()
     assert len(scanned) <= 2
     assert len(reopened) == 120
+
+
+def test_refresh_drops_a_key_another_handle_deleted(tmp_path):
+    a = ArtifactStore(tmp_path / "store")
+    b = ArtifactStore(tmp_path / "store")
+    for key in KEYS[:2]:
+        a.put(key, "json", _value(key))
+    b.refresh()
+    assert b.delete(KEYS[0])
+    assert a.refresh() == 0
+    # A lookup misses rather than finding the payload gone.
+    assert a.keys() == [KEYS[1]]
+    with pytest.raises(KeyError):
+        a.get(KEYS[0])
+    assert a.get(KEYS[1]) == _value(KEYS[1])
+
+
+def test_refresh_drops_a_key_another_process_deleted(tmp_path):
+    a = ArtifactStore(tmp_path / "store")
+    a.put(KEYS[0], "json", _value(KEYS[0]))
+    _in_subprocess(
+        "assert ArtifactStore(sys.argv[1]).delete(sys.argv[2])",
+        str(tmp_path / "store"),
+        KEYS[0],
+    )
+    a.refresh()
+    assert not a.has(KEYS[0])
+
+
+def test_refresh_keeps_held_keys_without_a_log(tmp_path):
+    # No log of this schema says nothing about what was deleted.
+    a = ArtifactStore(tmp_path / "store")
+    a.put(KEYS[0], "json", _value(KEYS[0]))
+    (tmp_path / "store" / "index.jsonl").unlink()
+    assert a.refresh() == 0
+    assert a.get(KEYS[0]) == _value(KEYS[0])
 
 
 def test_reopen_parses_only_lines_it_has_not_read(tmp_path, fresh_metrics):

@@ -111,15 +111,11 @@ class TestManifest:
             assert len(entry["sha256"]) == 64
             assert entry["bytes"] == path.stat().st_size
         assert "config.json" in manifest["files"]
-        # Schema 2: fusion/vsm state is one mmap-able .npy per key.
-        fusion_payloads = [
-            name
-            for name in manifest["files"]
-            if name.startswith("fusion/") and name.endswith(".npy")
-        ]
-        assert fusion_payloads
+        # Schema 3: each fusion/vsm state dict is one mmap-able .bin.
+        assert "fusion.bin" in manifest["files"]
         assert any(
-            name.startswith("vsm__00_") for name in manifest["files"]
+            name.startswith("vsm__00_") and name.endswith(".bin")
+            for name in manifest["files"]
         )
 
     def test_config_fingerprint_survives_json_round_trip(
@@ -149,9 +145,23 @@ class TestLoadSafety:
         with pytest.raises(ArtifactError, match="schema version"):
             load_system(broken)
 
+    def test_rejects_a_schema_two_directory(self, tmp_path):
+        # Schema 2 kept one .npy per state key; there is no reader for
+        # it, only the advice to re-export.
+        old = tmp_path / "schema2"
+        (old / "fusion").mkdir(parents=True)
+        np.save(old / "fusion" / "weights.npy", np.eye(2))
+        (old / "manifest.json").write_text(
+            json.dumps({"schema_version": 2, "files": {}})
+        )
+        with pytest.raises(
+            ArtifactError, match=r"version 2 .*re-export .*`repro export`"
+        ):
+            load_system(old)
+
     def test_rejects_corrupted_payload(self, artifact_dir, tmp_path):
         broken = _copy_artifact(artifact_dir, tmp_path)
-        target = broken / "fusion" / "weights.npy"
+        target = broken / "fusion.bin"
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
@@ -161,8 +171,20 @@ class TestLoadSafety:
     def test_mmap_load_rejects_truncated_payload(self, artifact_dir, tmp_path):
         # mmap mode skips hashing but still pins the manifest byte size.
         broken = _copy_artifact(artifact_dir, tmp_path)
-        target = broken / "fusion" / "weights.npy"
+        target = broken / "fusion.bin"
         target.write_bytes(target.read_bytes()[:-8])
+        with pytest.raises(ArtifactError, match="corrupted"):
+            load_system(broken, mmap=True)
+
+    def test_mmap_load_rejects_a_garbled_member_table(
+        self, artifact_dir, tmp_path
+    ):
+        # Same size, so only decoding the table can notice.
+        broken = _copy_artifact(artifact_dir, tmp_path)
+        target = broken / "fusion.bin"
+        data = bytearray(target.read_bytes())
+        data[4] ^= 0xFF  # the table's opening bracket
+        target.write_bytes(bytes(data))
         with pytest.raises(ArtifactError, match="corrupted"):
             load_system(broken, mmap=True)
 
@@ -263,6 +285,26 @@ class TestMmapLoading:
                 assert not _is_mapped(model.weight_)
 
 
+class TestLoadSpan:
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_load_counts_its_files_and_bytes(self, artifact_dir, mmap):
+        from repro.obs import trace
+
+        manifest = json.loads((artifact_dir / "manifest.json").read_text())
+        trace.stop_trace()
+        trace.start_trace("load")
+        try:
+            load_system(artifact_dir, mmap=mmap)
+        finally:
+            root = trace.stop_trace()
+        (span,) = [sp for sp in root.walk() if sp.name == "artifact.load"]
+        assert span.attrs == {"mmap": mmap}
+        assert span.counters == {
+            "files": len(manifest["files"]),
+            "bytes": sum(e["bytes"] for e in manifest["files"].values()),
+        }
+
+
 class TestExportTrained:
     def test_requires_fitted_vsms(
         self, serve_system, serve_baseline, serve_config
@@ -340,7 +382,7 @@ class TestVerifySystem:
         from repro.serve import verify_system
 
         broken = _copy_artifact(artifact_dir, tmp_path)
-        target = broken / "fusion" / "weights.npy"
+        target = broken / "fusion.bin"
         data = bytearray(target.read_bytes())
         data[-1] ^= 0x01  # flip inside the array body, not the header
         target.write_bytes(bytes(data))
@@ -350,7 +392,7 @@ class TestVerifySystem:
         # …the full audit does not.
         problems = verify_system(broken)
         assert problems == [
-            {"file": "fusion/weights.npy", "problem": "checksum"}
+            {"file": "fusion.bin", "problem": "checksum"}
         ]
         # And the eager (hashing) load refuses outright.
         with pytest.raises(ArtifactError, match="corrupted"):
@@ -385,7 +427,7 @@ class TestVerifySystem:
 
     def test_cli_exec_verify_flags_corruption(self, artifact_dir, tmp_path):
         broken = _copy_artifact(artifact_dir, tmp_path)
-        target = broken / "fusion" / "weights.npy"
+        target = broken / "fusion.bin"
         data = bytearray(target.read_bytes())
         data[-1] ^= 0x01
         target.write_bytes(bytes(data))
@@ -394,4 +436,4 @@ class TestVerifySystem:
             capture_output=True, text=True, env=_subprocess_env(),
         )
         assert result.returncode == 1
-        assert "CORRUPT (checksum): fusion/weights.npy" in result.stdout
+        assert "CORRUPT (checksum): fusion.bin" in result.stdout
