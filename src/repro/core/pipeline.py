@@ -48,7 +48,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -93,35 +93,86 @@ __all__ = [
 SVM_SOLVER = 2
 
 
+def _pick(values: dict[str, Any], names: str | dict) -> Any:
+    """The stage value named ``names``, or a dict of them keyed alike."""
+    if isinstance(names, str):
+        return values[names]
+    return {k: values[name] for k, name in names.items()}
+
+
+class _Deferred:
+    """Stage products left in the store until first read.
+
+    ``load`` returns ``{stage name: value}`` for a set of stages (one
+    graph run, made once however many fields share it); ``names`` picks
+    this field's value out of it, as for :func:`_pick`.
+    """
+
+    __slots__ = ("load", "names")
+
+    def __init__(self, load: Callable[[], dict[str, Any]], names) -> None:
+        self.load = load
+        self.names = names
+
+    def resolve(self) -> Any:
+        return _pick(self.load(), self.names)
+
+
+class _OnFirstRead:
+    """A dataclass field that resolves a loader on first read.
+
+    The resolved value replaces the loader, so later reads cost nothing;
+    a value given directly reads as it is.  ``_OnFirstRead(value)``
+    gives the field a default; ``_OnFirstRead()`` makes it required.
+    """
+
+    def __init__(self, *default) -> None:
+        self.default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # The class-level read is dataclasses asking for a default.
+            if self.default:
+                return self.default[0]
+            raise AttributeError(self.slot)
+        value = getattr(obj, self.slot)
+        if isinstance(value, _Deferred):
+            value = value.resolve()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        setattr(obj, self.slot, value)
+
+
 @dataclass
 class SubsystemScores:
     """Raw SVM score matrices of one subsystem (Eq. 9).
 
     ``test`` maps each nominal duration to an ``(m_d, K)`` matrix.
-    :attr:`vsm` is the fitted classifier that produced the scores; it is
+    ``vsm`` is the fitted classifier that produced the scores; it is
     kept so a trained system can be exported for online serving
-    (:mod:`repro.serve`) without retraining.  ``model`` holds it when the
-    run trained it, or loaded it for a score stage it executed;
-    otherwise ``model`` is a loader and :attr:`vsm` resolves it from the
-    store on first read, so a warm re-run that only renders tables loads
-    no model.
+    (:mod:`repro.serve`) without retraining.
+
+    Each field holds its value when the run computed it, or loaded it
+    for a stage it executed.  Otherwise the field holds a loader and
+    resolves from the store on first read: ``dev`` and ``test``
+    together, in one run of the subsystem's 1 + len(durations) score
+    stages, and ``vsm`` alone.  A warm re-run whose fused scores are all
+    store hits thus reads no score matrix and loads no model.
     """
 
     name: str
-    dev: np.ndarray
-    test: dict[float, np.ndarray]
-    model: VSM | Callable[[], VSM] | None = field(default=None, repr=False)
+    dev: np.ndarray = _OnFirstRead()
+    test: dict[float, np.ndarray] = _OnFirstRead()
+    vsm: VSM | None = _OnFirstRead(None)
 
-    @property
-    def vsm(self) -> VSM | None:
-        """The fitted classifier, loaded on first read if not kept."""
-        if callable(self.model):
-            self.model = self.model()
-        return self.model
-
-    @vsm.setter
-    def vsm(self, value: VSM | None) -> None:
-        self.model = value
+    def __repr__(self) -> str:
+        # Reads no other field: a deferred one would load from the store.
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
 @dataclass
@@ -143,11 +194,6 @@ class SystemResult:
     @property
     def dev_scores(self) -> list[np.ndarray]:
         return [s.dev for s in self.subsystems]
-
-    @property
-    def vsms(self) -> list["VSM | None"]:
-        """Fitted per-subsystem classifiers (for export/serving)."""
-        return [s.vsm for s in self.subsystems]
 
     def test_scores(self, duration: float) -> list[np.ndarray]:
         """Per-subsystem raw test scores at one duration."""
@@ -211,10 +257,11 @@ def evaluate_scores(
     scores: np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
     """(EER %, C_avg %) of calibrated scores."""
-    return (
-        100.0 * eer_from_matrix(scores, labels),
-        100.0 * cavg(scores, labels),
-    )
+    with trace.span("evaluate"):
+        return (
+            100.0 * eer_from_matrix(scores, labels),
+            100.0 * cavg(scores, labels),
+        )
 
 
 def calibrate_scores(
@@ -732,23 +779,58 @@ class PhonotacticSystem:
             names[tag] = name
         return names
 
-    @staticmethod
-    def _result_targets(score_names: dict[str, dict[str, str]]) -> list[str]:
-        """The graph leaves result assembly needs: the score stages.
+    def _result_targets(
+        self, graph: StageGraph, score_names: dict[str, dict[str, str]]
+    ) -> list[str]:
+        """The score stages this run must produce.
 
-        A fit is no target: it runs (or loads) only when a live score
-        stage needs it, and otherwise stays in the store until its
-        :attr:`SubsystemScores.vsm` is read.
+        A frontend whose score stages are all store hits is left out:
+        its :class:`SubsystemScores` reads them on first use instead.
+        So is every fit: it runs (or loads) only when a live score stage
+        needs it, and otherwise stays in the store until its
+        :attr:`SubsystemScores.vsm` is read.  A tainted frontend's
+        products are purged after the run, so it reads them now.
         """
-        return [
-            name for names in score_names.values() for name in names.values()
-        ]
+        tainted = self._tainted_frontends()
+        targets: list[str] = []
+        for frontend, names in score_names.items():
+            stages = list(names.values())
+            if (
+                self.store is None
+                or frontend in tainted
+                or not all(
+                    self.store.has(graph.stage_named(n).key) for n in stages
+                )
+            ):
+                targets.extend(stages)
+        return targets
 
-    def _load_fit(self, graph: StageGraph, fit_stage: str) -> VSM:
-        """Resolve one fit stage of ``graph`` through the store."""
-        return graph.run(
-            [fit_stage], store=self.store, retry=self.retry, claims=self.claims
-        )[fit_stage]
+    def _reader(
+        self, graph: StageGraph, results: dict, stages: list[str]
+    ) -> Callable:
+        """A ``names -> value`` reader of ``stages``' products.
+
+        They come from ``results`` when this run produced them all.
+        Otherwise the reader hands out loaders that share one graph run
+        of ``stages`` through the store, made on the first read.
+        """
+        if all(name in results for name in stages):
+            return partial(_pick, results)
+        values: dict[str, Any] = {}
+
+        def load() -> dict[str, Any]:
+            if not values:
+                values.update(
+                    graph.run(
+                        stages,
+                        store=self.store,
+                        retry=self.retry,
+                        claims=self.claims,
+                    )
+                )
+            return values
+
+        return partial(_Deferred, load)
 
     def _assemble_subsystems(
         self,
@@ -759,26 +841,22 @@ class PhonotacticSystem:
     ) -> list[SubsystemScores]:
         """Collect graph outputs into per-frontend score bundles.
 
-        A fit in ``results`` (trained, or loaded for a live score stage)
-        is handed over; any other is left to load on first read.
+        Products in ``results`` are handed over; any other is left to
+        load on first read.
         """
         subsystems: list[SubsystemScores] = []
         for frontend in self.frontends:
             names = score_names[frontend.name]
             fit = fit_stages[frontend.name]
+            scores = self._reader(graph, results, list(names.values()))
             subsystems.append(
                 SubsystemScores(
                     frontend.name,
-                    dev=results[names["dev"]],
-                    test={
-                        d: results[names[f"test@{d}"]]
-                        for d in self.durations
-                    },
-                    model=(
-                        results[fit]
-                        if fit in results
-                        else partial(self._load_fit, graph, fit)
+                    dev=scores(names["dev"]),
+                    test=scores(
+                        {d: names[f"test@{d}"] for d in self.durations}
                     ),
+                    vsm=self._reader(graph, results, [fit])(fit),
                 )
             )
         return subsystems
@@ -793,7 +871,9 @@ class PhonotacticSystem:
         ``phi/train → svm_train → score/{dev,test@d}`` are independent
         and fan out in parallel when ``system.workers`` allows; with a
         store attached, cached ``svm_train``/``score`` products prune
-        the decode stages entirely.
+        the decode stages entirely, and a frontend whose ``score``
+        products are all cached runs nothing: its scores load on first
+        read.
         """
         y_train = self.labels_for("train")
         graph = StageGraph()
@@ -830,9 +910,9 @@ class PhonotacticSystem:
             score_names[frontend.name] = self._score_stages(
                 graph, frontend, fit_name, "baseline"
             )
-        # Target only the leaves we assemble results from: φ stages then
-        # run exactly when a live (non-cached) stage still needs them.
-        targets = self._result_targets(score_names)
+        # Target only the score stages the store cannot answer: φ stages
+        # then run exactly when a live (non-cached) stage still needs them.
+        targets = self._result_targets(graph, score_names)
         failures: dict[str, BaseException] | None = (
             {} if self.on_error == "degrade" else None
         )
@@ -962,7 +1042,7 @@ class PhonotacticSystem:
                 score_names[frontend.name] = self._score_stages(
                     graph, frontend, fit_name, model_id
                 )
-            targets = self._result_targets(score_names)
+            targets = self._result_targets(graph, score_names)
             failures: dict[str, BaseException] | None = (
                 {} if self.on_error == "degrade" else None
             )
@@ -1114,17 +1194,20 @@ class PhonotacticSystem:
         surviving subsystems' DBA fit counts, renormalized over them —
         and the result never persists to the store.
         """
-        test_list = [s for r in results for s in r.test_scores(duration)]
+
+        def test_list() -> list[np.ndarray]:
+            return [s for r in results for s in r.test_scores(duration)]
+
         if self.degraded:
             with trace.span(
                 "fuse",
                 degraded=True,
                 members=[r.model_id for r in results],
             ):
-                return linear_fusion(test_list, _fit_counts(results))
+                return linear_fusion(test_list(), _fit_counts(results))
 
         def compute() -> np.ndarray:
-            return self.fit_fusion(results).transform(test_list)
+            return self.fit_fusion(results).transform(test_list())
 
         return run_stage(
             compute,

@@ -1,11 +1,12 @@
 """A warm Table-4 re-run reads only what it renders.
 
-Table 4 needs score matrices, vote selections and fused scores; the
+Table 4 needs vote selections and fused scores; the score matrices and
 fitted models behind them stay in the store until something reads a
-subsystem's ``vsm`` (an export, a serving artifact).  These tests fill a
-store with one cold Table-4 campaign and check that a warm re-run loads
-no model, that each model loads on its first read bitwise equal to the
-cold fit, and that a corrupt model payload surfaces on that read.
+subsystem's ``dev``, ``test`` or ``vsm`` (a vote or fusion miss, an
+export, a serving artifact).  These tests fill a store with one cold
+Table-4 campaign and check that a warm re-run reads no score matrix and
+loads no model, that each loads on its first read bitwise equal to the
+cold run's, and that a corrupt payload surfaces on that read.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ CONFIG = replace(
 )
 THRESHOLD = 3
 #: Store reads of one warm Table 4 over 6 frontends and 2 durations:
-#: 54 score matrices, 2 vote selections and 28 fused score vectors.
-WARM_HITS = 84
+#: 2 vote selections and 28 fused score vectors.
+WARM_HITS = 30
 
 
 def _table4(system):
@@ -57,6 +58,18 @@ def _state_bytes(vsm) -> dict[str, tuple]:
     return {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in state.items()}
 
 
+def _array_bytes(array) -> tuple:
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _score_bytes(sub) -> tuple:
+    """A subsystem's dev and per-duration test scores, as bytes."""
+    return _array_bytes(sub.dev), {
+        d: _array_bytes(m) for d, m in sub.test.items()
+    }
+
+
 def _export_files(directory: Path) -> dict[str, bytes]:
     """Every exported file but the manifest, which records its time."""
     return {
@@ -71,6 +84,7 @@ class ColdRun:
     store: Path
     cells: list
     states: list[list[dict[str, tuple]]]
+    scores: list[list[tuple]]
     export: dict[str, bytes]
 
 
@@ -87,6 +101,10 @@ def cold(tmp_path_factory) -> ColdRun:
             [_state_bytes(sub.vsm) for sub in result.subsystems]
             for result in results
         ],
+        scores=[
+            [_score_bytes(sub) for sub in result.subsystems]
+            for result in results
+        ],
         export=_export_files(root / "export"),
     )
 
@@ -100,6 +118,23 @@ def _warm(store: Path):
 
 def _count(name: str) -> float:
     return default_registry().counter(name).value
+
+
+def _corrupt(store_dir: Path, want) -> str:
+    """Flip the last byte of the first payload whose meta passes ``want``.
+
+    Returns the frontend the payload belongs to.
+    """
+    store = ArtifactStore(store_dir)
+    (name, payload) = next(
+        (entry["meta"]["frontend"], store_dir / entry["file"])
+        for entry in map(store.entry, store.keys())
+        if want(entry["meta"])
+    )
+    data = bytearray(payload.read_bytes())
+    data[-1] ^= 0x01
+    payload.write_bytes(bytes(data))
+    return name
 
 
 class TestWarmTable4:
@@ -137,19 +172,68 @@ class TestWarmTable4:
     ):
         store_dir = tmp_path / "store"
         shutil.copytree(cold.store, store_dir)
-        store = ArtifactStore(store_dir)
-        (name, payload) = next(
-            (entry["meta"]["frontend"], store_dir / entry["file"])
-            for entry in map(store.entry, store.keys())
-            if entry["meta"].get("model") == "baseline"
-            and "corpus" not in entry["meta"]
+        name = _corrupt(
+            store_dir,
+            lambda meta: meta.get("model") == "baseline"
+            and "corpus" not in meta,
         )
-        data = bytearray(payload.read_bytes())
-        data[-1] ^= 0x01
-        payload.write_bytes(bytes(data))
-
         _, results, cells = _warm(store_dir)
         assert cells == cold.cells
         (sub,) = [s for s in results[0].subsystems if s.name == name]
         with pytest.raises(StoreCorruptionError, match="checksum"):
             sub.vsm
+
+
+class TestScoresLoadOnFirstRead:
+    def test_warm_table4_reads_no_score_matrix(self, cold):
+        _warm(cold.store)
+        assert _count("exec.stage.score.cached") == 0
+        assert _count("exec.stage.score.executed") == 0
+        assert _count("exec.stage.fuse.cached") == 28
+        assert _count("exec.stage.vote.cached") == 2
+
+    def test_first_read_loads_the_cold_scores_once(self, cold):
+        system, results, _ = _warm(cold.store)
+        stages = 1 + len(system.durations)
+        for result, scores in zip(results, cold.scores):
+            for sub, want in zip(result.subsystems, scores):
+                before = _count("exec.store.hits")
+                dev = sub.dev
+                assert _count("exec.store.hits") == before + stages
+                assert sub.dev is dev
+                assert _score_bytes(sub) == want
+                assert _count("exec.store.hits") == before + stages
+        assert _count("exec.stage.score.cached") == 3 * 6 * stages
+        assert _count("exec.stage.score.executed") == 0
+        assert _count("exec.stage.svm_train.cached") == 0
+        assert _count("exec.stage.dba_train.cached") == 0
+
+    def test_fuse_hits_read_no_score_payload(self, cold):
+        default_registry().reset()
+        system = build_system(CONFIG, store=ArtifactStore(cold.store))
+        baseline = system.baseline()
+        n = len(system.frontends)
+        for duration in system.durations:
+            before = _count("exec.store.hits")
+            system.fused_scores([baseline], duration)
+            system.frontend_metrics(baseline, duration)
+            assert _count("exec.store.hits") == before + 1 + n
+        assert _count("exec.stage.fuse.cached") == 2 * (1 + n)
+        assert _count("exec.stage.score.cached") == 0
+
+    def test_corrupt_scores_fail_on_read_not_during_table4(
+        self, cold, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        shutil.copytree(cold.store, store_dir)
+        name = _corrupt(
+            store_dir,
+            lambda meta: meta.get("model") == "baseline"
+            and meta.get("corpus") == "dev",
+        )
+
+        _, results, cells = _warm(store_dir)
+        assert cells == cold.cells
+        (sub,) = [s for s in results[0].subsystems if s.name == name]
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            sub.dev
