@@ -159,10 +159,12 @@ class SubsystemScores:
 
     Each field holds its value when the run computed it, or loaded it
     for a stage it executed.  Otherwise the field holds a loader and
-    resolves from the store on first read: ``dev`` and ``test``
-    together, in one run of the subsystem's 1 + len(durations) score
-    stages, and ``vsm`` alone.  A warm re-run whose fused scores are all
-    store hits thus reads no score matrix and loads no model.
+    resolves from the store on first read, each field on its own:
+    ``dev`` in one score stage, ``test`` in one run of the subsystem's
+    len(durations) test score stages, and ``vsm`` alone.  A warm re-run
+    whose fused scores are all store hits thus reads no score matrix
+    and loads no model, and a vote, which pools test scores only, reads
+    no dev matrix.
     """
 
     name: str
@@ -848,13 +850,15 @@ class PhonotacticSystem:
         for frontend in self.frontends:
             names = score_names[frontend.name]
             fit = fit_stages[frontend.name]
-            scores = self._reader(graph, results, list(names.values()))
+            tests = {d: names[f"test@{d}"] for d in self.durations}
             subsystems.append(
                 SubsystemScores(
                     frontend.name,
-                    dev=scores(names["dev"]),
-                    test=scores(
-                        {d: names[f"test@{d}"] for d in self.durations}
+                    dev=self._reader(graph, results, [names["dev"]])(
+                        names["dev"]
+                    ),
+                    test=self._reader(graph, results, list(tests.values()))(
+                        tests
                     ),
                     vsm=self._reader(graph, results, [fit])(fit),
                 )

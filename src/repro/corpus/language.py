@@ -17,6 +17,7 @@ weight controls confusability, which is what moves EER between the 30 s
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,26 +83,27 @@ class LanguageSpec:
     def sample_phones(
         self, n: int, rng: np.random.Generator | int | None
     ) -> np.ndarray:
-        """Sample ``n`` phones (as *universal* ids) from the Markov chain."""
+        """Sample ``n`` phones (as *universal* ids) from the Markov chain.
+
+        Inverse-CDF sampling against cumulative rows, consuming ``n``
+        uniforms: each step is one ``bisect_right`` into the current
+        state's row, the index ``searchsorted(..., "right")`` gives on
+        the same float64 values.  A row becomes a Python list on its
+        first visit in this call; nothing is cached on the spec.
+        """
         rng = ensure_rng(rng)
         if n <= 0:
             return np.empty(0, dtype=np.int64)
-        # Inverse-CDF sampling against cumulative rows.  Each state's
-        # row is searched once for the whole ``u`` vector, the first
-        # time the chain visits it, so the walk is plain Python over
-        # precomputed successor lists.
         cum_trans = np.cumsum(self.transition, axis=1)
-        u = rng.random(n)
-        state = int(np.cumsum(self.initial).searchsorted(u[0], "right"))
+        u = rng.random(n).tolist()
+        state = bisect_right(np.cumsum(self.initial).tolist(), u[0])
         local = [state]
-        successors: dict[int, list[int]] = {}
-        for t in range(1, n):
-            row = successors.get(state)
+        rows: dict[int, list[float]] = {}
+        for x in u[1:]:
+            row = rows.get(state)
             if row is None:
-                row = successors[state] = (
-                    cum_trans[state].searchsorted(u, "right").tolist()
-                )
-            state = row[t]
+                row = rows[state] = cum_trans[state].tolist()
+            state = bisect_right(row, x)
             local.append(state)
         idx = np.array(local, dtype=np.int64)
         # Rounding can leave a cumulative row just short of 1.

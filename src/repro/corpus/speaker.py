@@ -72,8 +72,12 @@ class Session:
         Combines speaker shift magnitude, channel tilt magnitude and noise
         level with fixed weights.  Used by the confusion-channel recognizer
         to scale its error rates; calibrated so typical sessions land
-        around 0.1–0.4.
+        around 0.1–0.4.  Computed on the first call and kept: every
+        recognizer of a battery decodes the same session.
         """
+        cached = self.__dict__.get("_distortion")
+        if cached is not None:
+            return cached
         spk = float(np.linalg.norm(self.speaker.offset)) / (
             1.0 + np.sqrt(self.speaker.offset.size)
         )
@@ -82,7 +86,9 @@ class Session:
         )
         noise = self.noise_std()
         raw = 0.5 * spk + 0.5 * chn + 0.6 * noise
-        return float(raw / (1.0 + raw))
+        value = float(raw / (1.0 + raw))
+        object.__setattr__(self, "_distortion", value)
+        return value
 
     def transform_frames(
         self, frames: np.ndarray, rng: np.random.Generator | int | None

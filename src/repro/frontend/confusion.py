@@ -118,7 +118,6 @@ class ConfusionChannelRecognizer:
         # because session shifts force a fresh projection per utterance.
         self._protos = acoustics.phone_means[self._local_universal_ids]
         self._protos_sq = np.sum(self._protos**2, axis=1)
-        self._projection = self._build_projection()
 
     # ------------------------------------------------------------------
     # projection
@@ -134,29 +133,38 @@ class ConfusionChannelRecognizer:
         off_diag = proto_d2[~np.eye(proto_d2.shape[0], dtype=bool)]
         return float(np.median(off_diag)) if off_diag.size else 1.0
 
-    def _projection_for_means(self, means: np.ndarray) -> np.ndarray:
-        """Soft assignment p(local phone | universal phone), shape (U, L).
+    def _projection_for_means(
+        self, means: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Soft assignment p(local phone | universal phone), shape (..., U, L).
 
         Based on squared distances between the given universal phone means
         and the *clean* means of the local inventory's prototype phones,
         tempered by ``tau`` times the median inter-prototype distance.
+        ``means`` may carry leading batch axes (one ``(U, D)`` matrix per
+        session).  With ``rows`` (flat indices into the ``(..., U)``
+        rows) only those rows are returned, shape ``(len(rows), L)``.
+        The products with the prototypes are one ``(U, D)`` matmul per
+        batch item either way, and every later step is row-wise, so a
+        row comes out as it would in the full matrix of its item alone.
         """
-        protos = self._protos
-        d2 = (
-            np.sum(means**2, axis=1)[:, None]
-            - 2.0 * means @ protos.T
-            + self._protos_sq[None, :]
-        )
-        d2 = np.maximum(d2, 0.0)
-        logits = -d2 / max(self.model.tau * self._scale, 1e-9)
-        logits -= logits.max(axis=1, keepdims=True)
-        proj = np.exp(logits)
-        proj /= proj.sum(axis=1, keepdims=True)
+        proj = 2.0 * means @ self._protos.T
+        sq = np.sum(means**2, axis=-1)
+        if rows is not None:
+            proj = proj.reshape(-1, proj.shape[-1])[rows]
+            sq = sq.reshape(-1)[rows]
+        # In place, one buffer: each step is the elementwise
+        # ``sq - 2·m·pᵀ + p², max 0, −d²/t, − row max, exp, / row sum``
+        # (a quotient's sign is its operands' sign product, so −d²/t is
+        # d²/−t exactly).
+        np.subtract(sq[..., None], proj, out=proj)
+        proj += self._protos_sq
+        np.maximum(proj, 0.0, out=proj)
+        proj /= -max(self.model.tau * self._scale, 1e-9)
+        proj -= proj.max(axis=-1, keepdims=True)
+        np.exp(proj, out=proj)
+        proj /= proj.sum(axis=-1, keepdims=True)
         return proj
-
-    def _build_projection(self) -> np.ndarray:
-        """Clean-condition projection (no session shift)."""
-        return self._projection_for_means(self.acoustics.phone_means)
 
     def session_projection(self, session) -> np.ndarray:
         """Projection under a session's systematic acoustic shift.
@@ -170,17 +178,25 @@ class ConfusionChannelRecognizer:
         the mechanism that makes the test-condition statistics learnable
         and DBA's transductive retraining worthwhile.
         """
-        shifted = session.channel.gain * (
-            self.acoustics.phone_means
-            + session.speaker.offset[None, :]
-            + session.channel.tilt[None, :]
+        return self._projection_for_means(self._shifted_means([session]))[0]
+
+    def _shifted_means(self, sessions) -> np.ndarray:
+        """Every universal phone mean under each session, ``(B, U, D)``."""
+        offset = np.stack([s.speaker.offset for s in sessions])
+        tilt = np.stack([s.channel.tilt for s in sessions])
+        gain = np.array([s.channel.gain for s in sessions], dtype=np.float64)
+        return gain[:, None, None] * (
+            self.acoustics.phone_means + offset[:, None, :] + tilt[:, None, :]
         )
-        return self._projection_for_means(shifted)
 
     @property
     def projection(self) -> np.ndarray:
-        """The ``(n_universal, n_local)`` soft projection matrix."""
-        return self._projection
+        """The clean-condition ``(n_universal, n_local)`` projection.
+
+        Decoding uses session projections only, so this one is computed
+        on each read rather than kept.
+        """
+        return self._projection_for_means(self.acoustics.phone_means)
 
     # ------------------------------------------------------------------
     # decoding
@@ -188,7 +204,7 @@ class ConfusionChannelRecognizer:
     def _session_error(self, utterance: Utterance) -> float:
         m = self.model
         e = m.base_error + m.distortion_gain * utterance.session.distortion()
-        return float(np.clip(e, 0.0, 0.85))
+        return min(max(e, 0.0), 0.85)
 
     def stage_params(self) -> dict[str, object]:
         """No decode knobs beyond the model itself (→ memoisation keys)."""
@@ -205,34 +221,30 @@ class ConfusionChannelRecognizer:
         (d) per-slot Dirichlet jitter that plays the role of per-utterance
         acoustic variability.
 
-        All slots are built in one batch of whole-array operations that
-        consume the identical RNG bitstream as a per-slot loop (the
-        oracle in ``tests/oracles/phi.py``, tested bitwise-equal), so
-        tables are unchanged while decode drops off the campaign profile.
+        A batch of one: :meth:`decode_batch` consumes the identical RNG
+        bitstream as a per-slot loop (the oracle in
+        ``tests/oracles/phi.py``, tested bitwise-equal).
         """
-        rng = ensure_rng(
-            rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
-        )
-        noisy = self._jittered_slots(utterance, rng)
-        if noisy is None:
-            return Sausage([], self.phone_set)
-        slot_phones, slot_probs = self._rank_slots(noisy)
-        return Sausage.from_slot_arrays(slot_phones, slot_probs, self.phone_set)
+        if rng is None:
+            rng = child_rng(0, f"decode/{utterance.utt_id}")
+        return self.decode_batch([utterance], [rng])[0]
 
     def decode_batch(
         self,
         utterances: list[Utterance],
-        rngs: list[np.random.Generator] | None = None,
+        rngs: list[np.random.Generator | int] | None = None,
     ) -> list[Sausage]:
-        """Decode many utterances, amortising slot post-processing.
+        """Decode many utterances, each under its own RNG stream.
 
-        Every utterance consumes exactly the RNG bitstream :meth:`decode`
-        would (sampling stays per utterance), but top-k selection,
-        renormalisation and slot-array validation run once over the
-        vertical concatenation of all slot matrices.  Those operations
-        are row-wise, so each row of the contiguous concatenation is
-        computed exactly as in the per-utterance call — the sausages are
-        bitwise identical to looping :meth:`decode`.
+        Each utterance draws its deletions and insertions, then its
+        gamma jitter, from its own generator, in the order of the
+        per-slot reference loop.  Everything between and after the
+        draws is computed once for the whole batch, with per-row
+        scalars where the reference had per-utterance ones: the slot
+        probabilities, their gamma shapes, top-k selection,
+        renormalisation and validation.  These are elementwise or
+        row-wise, so every sausage is bitwise identical to decoding
+        its utterance alone.
         """
         if rngs is None:
             rngs = [
@@ -240,72 +252,100 @@ class ConfusionChannelRecognizer:
             ]
         if len(rngs) != len(utterances):
             raise ValueError("rngs must match utterances in length")
-        noisies = [
-            self._jittered_slots(u, ensure_rng(r))
-            for u, r in zip(utterances, rngs)
-        ]
-        stacked = [n for n in noisies if n is not None]
-        if not stacked:
-            return [Sausage([], self.phone_set) for _ in noisies]
-        slot_phones, slot_probs = self._rank_slots(np.concatenate(stacked))
+        rngs = [ensure_rng(r) for r in rngs]
+        slots = [self._slot_ids(u, r) for u, r in zip(utterances, rngs)]
+        live = [i for i, ids in enumerate(slots) if ids is not None]
+        if not live:
+            return [Sausage([], self.phone_set) for _ in utterances]
+        shape = self._gamma_shapes(
+            [utterances[i] for i in live], [slots[i] for i in live]
+        )
+        bounds = np.cumsum([0] + [slots[i][0].size for i in live]).tolist()
+        # ``standard_gamma`` is ``gamma`` at scale 1.0 (numpy multiplies
+        # by the scale, exactly) without its two-parameter broadcast.
+        noisy = np.empty_like(shape)
+        for i, start, end in zip(live, bounds, bounds[1:]):
+            rngs[i].standard_gamma(shape[start:end], out=noisy[start:end])
+        slot_phones, slot_probs = self._rank_slots(noisy)
         Sausage._validate_slot_arrays(slot_phones, slot_probs, self.phone_set)
-        sausages: list[Sausage] = []
-        start = 0
-        for noisy in noisies:
-            if noisy is None:
-                sausages.append(Sausage([], self.phone_set))
-                continue
-            end = start + noisy.shape[0]
-            sausages.append(
-                Sausage._from_validated_arrays(
-                    slot_phones[start:end],
-                    slot_probs[start:end],
-                    self.phone_set,
-                )
+        sausages = [Sausage([], self.phone_set) for _ in utterances]
+        for i, start, end in zip(live, bounds, bounds[1:]):
+            sausages[i] = Sausage._from_validated_arrays(
+                slot_phones[start:end], slot_probs[start:end], self.phone_set
             )
-            start = end
         return sausages
 
-    def _jittered_slots(
+    def _slot_ids(
         self, utterance: Utterance, rng: np.random.Generator
-    ) -> np.ndarray | None:
-        """Sample the utterance's gamma-jittered slot matrix.
+    ) -> tuple[np.ndarray, float] | None:
+        """Draw the utterance's deletions and insertions.
 
-        Consumes the identical bitstream as the per-slot reference loop;
-        returns ``None`` when the utterance decodes to an empty sausage.
+        Returns the universal phone id of every slot (``-1`` for an
+        inserted one) and the session error rate, or ``None`` when the
+        utterance decodes to an empty sausage.  Consumes the same
+        uniforms, in the same order, as the per-slot reference loop.
         """
         m = self.model
         err = self._session_error(utterance)
         phones = utterance.phones
-        n_local = len(self.phone_set)
-        # --- insertions / deletions on the symbol stream -------------
         del_rate = min(0.9, m.deletion_rate * (1.0 + 2.0 * err))
         ins_rate = min(0.9, m.insertion_rate * (1.0 + 2.0 * err))
         keep = rng.random(phones.size) >= del_rate
         kept = phones[keep]
-        # One uniform per kept phone decides an insertion after it — the
-        # same draws, in the same order, as the scalar reference loop.
+        # One uniform per kept phone decides an insertion after it.
         inserted = rng.random(kept.size) < ins_rate
         n_slots = int(kept.size + inserted.sum())
-        # Universal id per slot; -1 marks a spurious (inserted) slot.
-        u_ids = np.full(max(n_slots, 0), -1, dtype=np.int64)
-        if kept.size:
-            offsets = np.zeros(kept.size, dtype=np.int64)
-            np.cumsum(inserted[:-1], out=offsets[1:])
-            u_ids[np.arange(kept.size) + offsets] = kept
         if n_slots == 0:
             if not phones.size:
                 return None
-            u_ids = phones[:1].astype(np.int64)
+            return phones[:1].astype(np.int64), err
+        u_ids = np.full(n_slots, -1, dtype=np.int64)
+        offsets = np.zeros(kept.size, dtype=np.int64)
+        np.cumsum(inserted[:-1], out=offsets[1:])
+        u_ids[np.arange(kept.size) + offsets] = kept
+        return u_ids, err
+
+    def _gamma_shapes(
+        self,
+        utterances: list[Utterance],
+        slots: list[tuple[np.ndarray, float]],
+    ) -> np.ndarray:
+        """Gamma shapes of every slot of a batch, one row per slot.
+
+        A slot's probabilities are its phone's row of the session
+        projection (uniform for an inserted slot), flattened toward
+        uniform by the session error; the Dirichlet jitter
+        concentration is high when clean and low when noisy.  The
+        shapes depend only on the utterance and the slot's universal
+        phone, so they are computed once per (utterance, phone) pair
+        that occurs — only those projection rows are formed — with the
+        per-utterance scalars as per-row columns, and each slot gathers
+        its pair's row.  Every entry is the reference's scalar
+        arithmetic on the same operands.
+        """
+        n_universal = len(self.acoustics.phone_set)
+        n_local = len(self.phone_set)
         uniform = np.full(n_local, 1.0 / n_local)
-        projection = self.session_projection(utterance.session)
-        # Dirichlet jitter concentration: high when clean, low when noisy.
-        jitter_conc = 60.0 * (1.0 - err) + 4.0
-        base = projection[np.maximum(u_ids, 0)]
-        base[u_ids < 0] = uniform
-        probs = (1.0 - err) * base + err * uniform[None, :]
-        # Per-utterance decoding noise (same bitstream as per-slot draws).
-        return rng.gamma(np.maximum(probs * jitter_conc, 1e-3))
+        u_ids = np.concatenate([ids for ids, _ in slots])
+        utt = np.repeat(np.arange(len(slots)), [ids.size for ids, _ in slots])
+        # Pair key utt·(U + 1) + phone, with phone U for an inserted slot.
+        key = utt * (n_universal + 1) + np.where(u_ids < 0, n_universal, u_ids)
+        used = np.zeros(len(slots) * (n_universal + 1), dtype=bool)
+        used[key] = True
+        pair_utt, pair_phone = np.divmod(np.flatnonzero(used), n_universal + 1)
+        real = pair_phone < n_universal
+        base = np.empty((pair_utt.size, n_local))
+        base[real] = self._projection_for_means(
+            self._shifted_means([u.session for u in utterances]),
+            rows=pair_utt[real] * n_universal + pair_phone[real],
+        )
+        base[~real] = uniform
+        err = np.array([e for _, e in slots])[pair_utt, None]
+        base *= 1.0 - err
+        base += err * uniform
+        base *= 60.0 * (1.0 - err) + 4.0
+        np.maximum(base, 1e-3, out=base)
+        return base[(np.cumsum(used) - 1)[key]]
 
     def _rank_slots(
         self, noisy: np.ndarray
@@ -313,20 +353,66 @@ class ConfusionChannelRecognizer:
         """Normalise + top-k + phone-order the jittered slot matrix.
 
         Strictly row-wise, so it may be handed one utterance's matrix or
-        a concatenation of many — each row comes out bitwise the same.
+        a concatenation of many — each row comes out bitwise the same as
+        ``np.argsort`` over the normalised row would rank it (the oracle
+        in ``tests/oracles/phi.py``).  Normalising divides a row by its
+        positive total, which keeps its order, so the ``k + 1`` largest
+        entries are found on ``noisy`` by ``k + 1`` ``argmax`` passes
+        and only those are divided.  A row whose ``k + 1`` quotients
+        are not strictly decreasing, or whose total is 0 (the uniform
+        fallback), is ranked by the full ``argsort`` instead, whose
+        tie-breaking is the contract.
         """
-        m = self.model
-        n_local = noisy.shape[1]
-        uniform = np.full(n_local, 1.0 / n_local)
+        k = self.model.top_k
+        n, n_local = noisy.shape
         totals = noisy.sum(axis=1)
         ok = totals > 0
-        probs = np.where(
-            ok[:, None], noisy / np.where(ok, totals, 1.0)[:, None], uniform
-        )
-        top = np.argsort(probs, axis=1)[:, ::-1][:, : m.top_k]
-        top_probs = np.take_along_axis(probs, top, axis=1)
+        if k < n_local:
+            top, values = _largest(noisy, k + 1)
+            np.divide(values, totals, out=values, where=ok)
+            full = ~ok | (values[1:] == values[:-1]).any(axis=0)
+            top_probs = values[:k].T.copy()
+            top = top[:k].T.copy()
+        else:
+            full = np.ones(n, dtype=bool)
+            top = np.empty((n, n_local), dtype=np.int64)
+            top_probs = np.empty((n, n_local))
+        if full.any():
+            rows = np.flatnonzero(full)
+            uniform = np.full(n_local, 1.0 / n_local)
+            probs = np.where(
+                ok[rows, None],
+                noisy[rows] / np.where(ok[rows], totals[rows], 1.0)[:, None],
+                uniform,
+            )
+            ranked = np.argsort(probs, axis=1)[:, ::-1][:, :k]
+            top[rows] = ranked
+            top_probs[rows] = np.take_along_axis(probs, ranked, axis=1)
         top_probs /= top_probs.sum(axis=1, keepdims=True)
         order = np.argsort(top, axis=1)
         slot_phones = np.take_along_axis(top, order, axis=1)
         slot_probs = np.take_along_axis(top_probs, order, axis=1)
         return slot_phones, slot_probs
+
+
+def _largest(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of each row's ``m`` largest entries, as ``(m, n)``.
+
+    ``m`` row ``argmax`` passes over ``x``, each masking the maxima it
+    found with ``-inf`` (restored before returning).  Among equal
+    values the lowest column comes first.
+    """
+    n, width = x.shape
+    x = np.ascontiguousarray(x)
+    flat = x.reshape(-1)
+    row_start = np.arange(n) * width
+    cols = np.empty((m, n), dtype=np.int64)
+    pos = np.empty((m, n), dtype=np.int64)
+    values = np.empty((m, n))
+    for j in range(m):
+        x.argmax(axis=1, out=cols[j])
+        np.add(row_start, cols[j], out=pos[j])
+        values[j] = flat[pos[j]]
+        flat[pos[j]] = -np.inf
+    flat[pos] = values
+    return cols, values

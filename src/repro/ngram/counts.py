@@ -31,7 +31,7 @@ from repro.utils.validation import check_positive
 __all__ = [
     "encode_ngram",
     "decode_ngram",
-    "expected_count_arrays",
+    "expected_count_batch",
     "expected_counts_sausage",
     "expected_counts_lattice",
 ]
@@ -75,65 +75,137 @@ def expected_counts_sausage(
     count of (p_1,…,p_n) starting at slot i is simply
     ``prod_j P(slot_{i+j} = p_j)``.
 
-    A dict view of the vectorized :func:`expected_count_arrays`.
+    A dict view of :func:`expected_count_batch` over one sausage.
     """
-    codes, sums = expected_count_arrays(sausage, order)
+    _, codes, sums = expected_count_batch([sausage], order)
     return dict(zip(codes.tolist(), sums.tolist()))
 
 
-def expected_count_arrays(
-    sausage: Sausage, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized expected counts: sorted unique codes and their sums.
+#: Most (sausage, code) bins one pass of :func:`expected_count_batch`
+#: sums densely; more sausages are taken in several passes.
+MAX_BINS = 1 << 20
 
-    Works on the sausage's padded ``(T, K)`` slot arrays: every window's
-    outer product over alternatives is one broadcast, padded combinations
-    are masked out, and a single ``np.unique``/``np.add.at`` pass
-    aggregates — accumulation order matches a per-window outer-product
-    loop (the oracle in ``tests/oracles/phi.py``) exactly, so the sums
-    are bitwise identical.
+
+def expected_count_batch(
+    sausages: list[Sausage], order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected counts of many sausages: ``(rows, codes, sums)``.
+
+    Entry ``i`` is the summed expected count of n-gram ``codes[i]`` in
+    ``sausages[rows[i]]``, sorted by row then code; every n-gram that
+    occurs is listed, also one whose count sums to exactly 0.0.
+
+    One pass per chunk of sausages: n-gram windows run over the
+    concatenated slot arrays, windows that cross a sausage boundary
+    are left out, and one ``bincount`` over (sausage, code) bins sums
+    the terms, at most :data:`MAX_BINS` bins per pass (a sausage whose
+    codes alone exceed that is summed through ``np.unique`` and
+    ``np.add.at``).  Either way each bin adds its terms in the order
+    of a per-window outer-product loop (the oracle in
+    ``tests/oracles/phi.py``), so the sums are bitwise identical to
+    counting each sausage alone.
     """
     check_positive("order", order)
-    n_phones = len(sausage.phone_set)
-    t = len(sausage)
-    if t < order:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    phones, probs = sausage.slot_arrays()
-    valid = phones >= 0
-    safe = np.where(valid, phones, 0)
-    w = t - order + 1
-    codes = safe[:w]
-    prods = probs[:w]
-    ok = valid[:w]
-    for j in range(1, order):
-        codes = (
-            codes[:, :, None] * n_phones + safe[j : j + w][:, None, :]
-        ).reshape(w, -1)
-        prods = (prods[:, :, None] * probs[j : j + w][:, None, :]).reshape(w, -1)
-        ok = (ok[:, :, None] & valid[j : j + w][:, None, :]).reshape(w, -1)
-    mask = ok.ravel()
-    if mask.all():
-        flat_codes, flat_probs = codes.ravel(), prods.ravel()
-    else:
-        flat_codes, flat_probs = codes.ravel()[mask], prods.ravel()[mask]
+    sizes = {len(s.phone_set) for s in sausages}
+    if len(sizes) > 1:
+        raise ValueError("sausages must share one phone-set size")
+    n_phones = sizes.pop() if sizes else 1
     n_codes = n_phones**order
-    if n_codes <= 1 << 20:
-        # Dense aggregation: bincount walks the flat arrays once in
-        # order, so each code's additions happen in exactly the same
-        # sequence as np.add.at / the reference loop — bitwise equal —
-        # without np.unique's internal argsort.  The occurrence pass
-        # keeps codes whose expected count sums to exactly 0.0, which
-        # the reference dict also records.
-        occ = np.bincount(flat_codes, minlength=n_codes)
-        sums = np.bincount(
-            flat_codes, weights=flat_probs, minlength=n_codes
+    per_pass = max(1, MAX_BINS // n_codes)
+    parts = []
+    for first in range(0, len(sausages), per_pass):
+        chunk = [s.slot_arrays() for s in sausages[first : first + per_pass]]
+        lengths = [p.shape[0] for p, _ in chunk]
+        row = np.repeat(np.arange(len(chunk)), lengths)
+        # Windows that lie inside one sausage, by first slot.
+        last = row.size - order + 1
+        starts = np.flatnonzero(row[:last] == row[order - 1 :])
+        if not starts.size:
+            continue
+        keys, terms = _window_terms(chunk, starts, row, order, n_phones)
+        n_bins = len(chunk) * n_codes
+        if n_bins <= MAX_BINS:
+            # bincount adds each bin's terms in array order.
+            seen = np.zeros(n_bins, dtype=bool)
+            seen[keys] = True
+            bins = np.flatnonzero(seen)
+            sums = np.bincount(keys, weights=terms, minlength=n_bins)[bins]
+        else:
+            bins, inverse = np.unique(keys, return_inverse=True)
+            sums = np.zeros(bins.size, dtype=np.float64)
+            np.add.at(sums, inverse, terms)
+        counts = np.diff(
+            np.searchsorted(bins, np.arange(len(chunk) + 1) * n_codes)
         )
-        uniq = np.flatnonzero(occ)
-        return uniq, sums[uniq]
-    uniq, inverse = np.unique(flat_codes, return_inverse=True)
-    sums = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(sums, inverse, flat_probs)
-    return uniq, sums
+        rows = np.repeat(np.arange(len(chunk)), counts)
+        parts.append((rows + first, bins - rows * n_codes, sums))
+    if not parts:
+        return (
+            np.empty(0, np.int64),
+            np.empty(0, np.int64),
+            np.empty(0, np.float64),
+        )
+    if len(parts) == 1:
+        return parts[0]
+    rows, codes, sums = (np.concatenate(column) for column in zip(*parts))
+    return rows, codes, sums
+
+
+def _window_terms(
+    chunk: list[tuple[np.ndarray, np.ndarray]],
+    starts: np.ndarray,
+    row: np.ndarray,
+    order: int,
+    n_phones: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and probability products of every window's alternatives.
+
+    ``chunk`` holds padded ``(T, K)`` slot arrays, ``row`` the chunk
+    row of every concatenated slot and ``starts`` the first slot of
+    every window.  A window contributes one term per combination of
+    its slots' alternatives: windows in order, combinations
+    lexicographic, padded ones left out.  A term's key is
+    ``row * f^order + code`` (the row rides in the first digit).  The
+    slots are laid out transposed, ``(K, T)``, so every step runs
+    along the windows rather than along ``K``.
+    """
+    width = max(p.shape[1] for p, _ in chunk)
+    if all(p.shape[1] == width for p, _ in chunk):
+        phones = np.concatenate([p for p, _ in chunk]).T
+        probs = np.concatenate([q for _, q in chunk]).T
+    else:
+        # Ragged widths: pad on the right, as ``slot_arrays`` does.
+        phones = np.full((width, row.size), -1, dtype=np.int64)
+        probs = np.zeros((width, row.size), dtype=np.float64)
+        start = 0
+        for p, q in chunk:
+            phones[: p.shape[1], start : start + p.shape[0]] = p.T
+            probs[: q.shape[1], start : start + q.shape[0]] = q.T
+            start += p.shape[0]
+    valid = phones >= 0
+    padded = not valid.all()
+    if padded:
+        phones = np.where(valid, phones, 0)
+        ok = np.take(valid, starts, axis=1)
+    keys = np.take(phones, starts, axis=1) + row[starts] * n_phones
+    terms = np.take(probs, starts, axis=1)
+    for j in range(1, order):
+        nxt = starts + j
+        keys = (
+            keys[:, None, :] * n_phones + np.take(phones, nxt, axis=1)
+        ).reshape(-1, starts.size)
+        terms = (terms[:, None, :] * np.take(probs, nxt, axis=1)).reshape(
+            -1, starts.size
+        )
+        if padded:
+            ok = (ok[:, None, :] & np.take(valid, nxt, axis=1)).reshape(
+                -1, starts.size
+            )
+    keys, terms = keys.T.ravel(), terms.T.ravel()
+    if padded:
+        keep = ok.T.ravel()
+        keys, terms = keys[keep], terms[keep]
+    return keys, terms
 
 
 def expected_counts_lattice(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.frontend.lattice import Sausage
-from repro.ngram.counts import expected_count_arrays
+from repro.ngram.counts import expected_count_batch
 from repro.obs.metrics import default_registry
 from repro.utils.sparse import SparseMatrix, SparseVector
 from repro.utils.validation import check_positive
@@ -93,43 +93,74 @@ class SupervectorExtractor:
     def extract(self, sausage: Sausage) -> SparseVector:
         """Supervector of one utterance's sausage (Eqs. 2–3).
 
-        Per-order blocks stay sparse end to end: counts arrive as sorted
-        (code, sum) arrays, are normalized within the block, offset, and
-        concatenated — the ``f^n``-dimensional blocks are never
-        densified and no intermediate dict is built.  The per-block
-        totals are sequential (``cumsum``) sums, matching the dict-based
-        oracle in ``tests/oracles/phi.py`` bitwise.
+        A batch of one: row 0 of :meth:`extract_matrix`.
         """
-        if len(sausage.phone_set) != self.layout.n_phones:
-            raise ValueError(
-                "sausage phone set does not match extractor inventory"
-            )
-        index_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        for order, offset in zip(self.layout.orders, self.layout.offsets):
-            codes, sums = expected_count_arrays(sausage, order)
-            if codes.size == 0:
-                continue
-            total = float(np.cumsum(sums)[-1])
-            if total <= 0.0:
-                continue
-            index_parts.append(codes + offset)
-            value_parts.append(sums * (1.0 / total))
-        if index_parts:
-            indices = np.concatenate(index_parts)
-            values = np.concatenate(value_parts)
-        else:
-            indices = np.empty(0, np.int64)
-            values = np.empty(0, np.float64)
-        _EXTRACTED.inc()
-        _NNZ.observe(float(indices.size))
-        return SparseVector(self.layout.dim, indices, values)
+        return self.extract_matrix([sausage]).row(0)
 
     def extract_matrix(self, sausages: list[Sausage]) -> SparseMatrix:
-        """Stack supervectors for a batch of sausages."""
-        return SparseMatrix.from_rows(
-            [self.extract(s) for s in sausages], dim=self.layout.dim
-        )
+        """Stack supervectors for a batch of sausages (Eqs. 2–3).
+
+        Per-order blocks stay sparse end to end: each order's counts
+        arrive for the whole batch at once, sorted by (row, code), from
+        :func:`~repro.ngram.counts.expected_count_batch`; each row's
+        block is normalised by its total and offset, and one stable sort
+        by row lays the blocks out as CSR rows — the ``f^n``-dimensional
+        blocks are never densified and no intermediate dict is built.
+        Block totals are sequential (``cumsum``) sums, so every row
+        matches the dict-based oracle in ``tests/oracles/phi.py``
+        bitwise, and the supervector counters advance once per sausage.
+        """
+        layout = self.layout
+        for sausage in sausages:
+            if len(sausage.phone_set) != layout.n_phones:
+                raise ValueError(
+                    "sausage phone set does not match extractor inventory"
+                )
+        n = len(sausages)
+        blocks = [
+            _normalised_block(sausages, order) for order in layout.orders
+        ]
+        # Each block is sorted by (row, code) and a later order's codes
+        # lie above an earlier one's, so a stable sort by row lays every
+        # row out in column order.
+        rows = np.concatenate([rows for rows, _, _ in blocks])
+        by_row = np.argsort(rows, kind="stable")
+        indices = np.concatenate(
+            [
+                codes + offset
+                for (_, codes, _), offset in zip(blocks, layout.offsets)
+            ]
+        )[by_row]
+        values = np.concatenate([values for _, _, values in blocks])[by_row]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        _EXTRACTED.inc(n)
+        for nnz in np.diff(indptr).tolist():
+            _NNZ.observe(nnz)
+        return SparseMatrix(layout.dim, indptr, indices, values)
+
+
+def _normalised_block(
+    sausages: list[Sausage], order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, codes, p(code | row))`` of one order's block (Eq. 3).
+
+    A row whose counts sum to 0 keeps no entry in the block.
+    """
+    rows, codes, sums = expected_count_batch(sausages, order)
+    bounds = np.searchsorted(rows, np.arange(len(sausages) + 1)).tolist()
+    totals = np.array(
+        [
+            np.cumsum(sums[a:b])[-1] if b > a else 0.0
+            for a, b in zip(bounds, bounds[1:])
+        ]
+    )
+    positive = totals > 0.0
+    values = sums * (1.0 / np.where(positive, totals, 1.0))[rows]
+    if not positive[rows].all():
+        keep = positive[rows]
+        rows, codes, values = rows[keep], codes[keep], values[keep]
+    return rows, codes, values
 
 
 class TFLLRScaler:

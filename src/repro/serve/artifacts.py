@@ -143,9 +143,7 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     Tuples serialise as JSON arrays and keys are sorted, so the
     fingerprint is stable across save/load round-trips.
     """
-    payload = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, default=list
-    )
+    payload = json.dumps(_config_to_dict(config), sort_keys=True, default=list)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -183,8 +181,19 @@ def export_trained(
 # ----------------------------------------------------------------------
 # (de)serialisation helpers
 # ----------------------------------------------------------------------
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
+def _config_to_dict(config) -> dict:
+    """The fields of a config dataclass, nested ones as dicts.
+
+    The JSON form ``dataclasses.asdict`` gives, without its deep copy:
+    the leaves (numbers, strings, tuples of them) are immutable, so
+    they are shared, not copied.
+    """
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        nested = dataclasses.is_dataclass(value)
+        out[f.name] = _config_to_dict(value) if nested else value
+    return out
 
 
 def _config_from_dict(payload: dict) -> ExperimentConfig:

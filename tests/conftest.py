@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.corpus import CorpusConfig, make_corpus_bundle
 from repro.frontend import build_frontends
 from repro.utils.rng import child_rng
+
+
+#: ``pytest --hypothesis-profile=ci``: 1000 examples for a property test
+#: that sets no budget, ten times any taken from :func:`tests.budget.examples`.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

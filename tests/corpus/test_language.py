@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.language import (
     LanguageRegistry,
@@ -13,6 +15,7 @@ from repro.corpus.language import (
 )
 from repro.corpus.phoneset import universal_phone_set
 from repro.corpus.splits import CorpusConfig, make_corpus_bundle
+from tests.budget import examples
 from tests.oracles.language import sample_phones_reference
 
 
@@ -105,6 +108,35 @@ class TestSamplePhonesOracle:
         fast = lang.sample_phones(n, np.random.default_rng(seed))
         ref = sample_phones_reference(lang, n, np.random.default_rng(seed))
         assert fast.dtype == ref.dtype
+        assert fast.tobytes() == ref.tobytes()
+
+    def test_leaves_no_attribute_on_the_spec(self, universal):
+        lang = make_language("l", universal, 4, inventory_size=20)
+        before = dict(vars(lang))
+        lang.sample_phones(300, 0)
+        after = vars(lang)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+    @given(
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.sampled_from([0.02, 0.25, 1.0]),
+    )
+    @settings(max_examples=examples(40), deadline=None)
+    def test_random_chains_match_reference(
+        self, universal, n, seed, inventory_size, concentration
+    ):
+        lang = make_language(
+            "l",
+            universal,
+            seed,
+            inventory_size=inventory_size,
+            concentration=concentration,
+        )
+        fast = lang.sample_phones(n, np.random.default_rng(seed))
+        ref = sample_phones_reference(lang, n, np.random.default_rng(seed))
         assert fast.tobytes() == ref.tobytes()
 
     def test_same_generator_state_afterwards(self, universal):

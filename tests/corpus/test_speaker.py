@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ class TestSession:
         noisy = _session(snr=3.0)
         assert 0.0 <= clean.distortion() < 1.0
         assert noisy.distortion() > clean.distortion()
+
+    def test_distortion_is_kept_after_the_first_call(self):
+        session = _session(snr=10.0)
+        first = session.distortion()
+        assert session.distortion() is first
+        # A fresh, equal session computes the same value.
+        assert _session(snr=10.0).distortion() == first
+        # A copy made from the fields computes it afresh, equally.
+        assert dataclasses.replace(session).distortion() == first
 
     def test_transform_applies_offset_and_gain(self):
         dim = 4

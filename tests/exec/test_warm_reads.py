@@ -199,14 +199,29 @@ class TestScoresLoadOnFirstRead:
             for sub, want in zip(result.subsystems, scores):
                 before = _count("exec.store.hits")
                 dev = sub.dev
+                assert _count("exec.store.hits") == before + 1
+                test = sub.test
                 assert _count("exec.store.hits") == before + stages
-                assert sub.dev is dev
+                assert sub.dev is dev and sub.test is test
                 assert _score_bytes(sub) == want
                 assert _count("exec.store.hits") == before + stages
         assert _count("exec.stage.score.cached") == 3 * 6 * stages
         assert _count("exec.stage.score.executed") == 0
         assert _count("exec.stage.svm_train.cached") == 0
         assert _count("exec.stage.dba_train.cached") == 0
+
+    def test_vote_miss_reads_only_test_scores(self, tmp_path):
+        """A new threshold's vote pools the baseline's test scores only."""
+        config = replace(
+            CONFIG, corpus=replace(CONFIG.corpus, seed=5)
+        )
+        _table4(build_system(config, store=tmp_path / "store"))
+        default_registry().reset()
+        system = build_system(config, store=ArtifactStore(tmp_path / "store"))
+        system.dba(THRESHOLD - 1, "M1")
+        assert _count("exec.stage.vote.executed") == 1
+        # 6 frontends x 2 test durations; no dev matrix.
+        assert _count("exec.stage.score.cached") == 12
 
     def test_fuse_hits_read_no_score_payload(self, cold):
         default_registry().reset()

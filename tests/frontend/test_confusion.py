@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.acoustics import AcousticSpace
 from repro.corpus.generator import UtteranceGenerator
@@ -11,6 +13,7 @@ from repro.corpus.language import make_language
 from repro.corpus.phoneset import universal_phone_set
 from repro.corpus.speaker import SessionSampler
 from repro.frontend.confusion import ConfusionChannelRecognizer, ConfusionModel
+from tests.budget import examples
 from tests.oracles.phi import decode_reference
 
 
@@ -154,6 +157,27 @@ class TestDecodeBatch:
         batch = fe.decode_batch(corpus)
         reference = [decode_reference(fe, u) for u in corpus]
         self._assert_bitwise_equal(batch, reference)
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 5, 40]),
+    )
+    @settings(max_examples=examples(20), deadline=None)
+    def test_random_batches_match_reference(
+        self, space, corpus, picks, seed, top_k
+    ):
+        """Repeated utterances (one session decoded twice) included."""
+        fe = ConfusionChannelRecognizer(
+            "X", space, 30, ConfusionModel(top_k=top_k), seed=1
+        )
+        utts = [corpus[i] for i in picks]
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(utts))]
+        reference = [
+            decode_reference(fe, u, np.random.default_rng([seed, i]))
+            for i, u in enumerate(utts)
+        ]
+        self._assert_bitwise_equal(fe.decode_batch(utts, rngs), reference)
 
     def test_empty_batch(self, space):
         fe = ConfusionChannelRecognizer("X", space, 30, seed=1)

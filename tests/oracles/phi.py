@@ -7,11 +7,13 @@ reproduce its oracle byte for byte in float64:
 
 - :func:`decode_reference` ↔
   :meth:`~repro.frontend.confusion.ConfusionChannelRecognizer.decode`
-  and ``decode_batch``;
+  and ``decode_batch``, with :func:`session_projection_reference` ↔
+  ``session_projection``;
 - :func:`expected_counts_sausage_reference` ↔
   :func:`~repro.ngram.counts.expected_counts_sausage`;
 - :func:`extract_reference` ↔
-  :meth:`~repro.ngram.supervector.SupervectorExtractor.extract`;
+  :meth:`~repro.ngram.supervector.SupervectorExtractor.extract`, and
+  :func:`extract_matrix_reference` ↔ ``extract_matrix``;
 - :func:`tfllr_fit_reference` / :func:`tfllr_transform_reference` ↔
   :meth:`~repro.ngram.supervector.TFLLRScaler.fit` / ``transform``.
 
@@ -34,9 +36,11 @@ from repro.utils.validation import check_positive
 __all__ = [
     "decode_reference",
     "decode_batch_reference",
+    "session_projection_reference",
     "prune_slot_reference",
     "expected_counts_sausage_reference",
     "extract_reference",
+    "extract_matrix_reference",
     "dense_scale",
     "tfllr_fit_reference",
     "tfllr_transform_reference",
@@ -54,7 +58,14 @@ def decode_reference(
         rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
     )
     m = recognizer.model
-    err = recognizer._session_error(utterance)
+    err = float(
+        np.clip(
+            m.base_error
+            + m.distortion_gain * utterance.session.distortion(),
+            0.0,
+            0.85,
+        )
+    )
     phones = utterance.phones
     n_local = len(recognizer.phone_set)
     del_rate = min(0.9, m.deletion_rate * (1.0 + 2.0 * err))
@@ -70,7 +81,7 @@ def decode_reference(
         slots_universal = [int(phones[0])] if phones.size else []
     uniform = np.full(n_local, 1.0 / n_local)
     slots: list[SausageSlot] = []
-    projection = recognizer.session_projection(utterance.session)
+    projection = session_projection_reference(recognizer, utterance.session)
     jitter_conc = 60.0 * (1.0 - err) + 4.0
     for u in slots_universal:
         base = uniform.copy() if u is None else projection[u]
@@ -78,6 +89,29 @@ def decode_reference(
         noisy = rng.gamma(np.maximum(probs * jitter_conc, 1e-3))
         slots.append(prune_slot_reference(noisy, m.top_k))
     return Sausage(slots, recognizer.phone_set)
+
+
+def session_projection_reference(
+    recognizer: ConfusionChannelRecognizer, session
+) -> np.ndarray:
+    """One session's ``(U, L)`` projection, computed on its own."""
+    means = session.channel.gain * (
+        recognizer.acoustics.phone_means
+        + session.speaker.offset[None, :]
+        + session.channel.tilt[None, :]
+    )
+    protos = recognizer._protos
+    d2 = (
+        np.sum(means**2, axis=1)[:, None]
+        - 2.0 * means @ protos.T
+        + np.sum(protos**2, axis=1)[None, :]
+    )
+    d2 = np.maximum(d2, 0.0)
+    logits = -d2 / max(recognizer.model.tau * recognizer._scale, 1e-9)
+    logits -= logits.max(axis=1, keepdims=True)
+    proj = np.exp(logits)
+    proj /= proj.sum(axis=1, keepdims=True)
+    return proj
 
 
 def prune_slot_reference(noisy: np.ndarray, top_k: int) -> SausageSlot:
@@ -157,6 +191,16 @@ def extract_reference(
     return SparseVector.from_dict(layout.dim, items)
 
 
+def extract_matrix_reference(
+    extractor: SupervectorExtractor, sausages: list[Sausage]
+) -> SparseMatrix:
+    """:func:`extract_reference` rows, stacked."""
+    return SparseMatrix.from_rows(
+        [extract_reference(extractor, s) for s in sausages],
+        dim=extractor.layout.dim,
+    )
+
+
 def dense_scale(scaler: TFLLRScaler) -> np.ndarray:
     """The fitted TFLLR scaling as a dense ``dim``-length vector."""
     out = np.full(scaler.dim_, scaler.default_scale, dtype=np.float64)
@@ -203,5 +247,8 @@ def use_reference_phi(monkeypatch) -> None:
         ConfusionChannelRecognizer, "decode_batch", decode_batch_reference
     )
     monkeypatch.setattr(SupervectorExtractor, "extract", extract_reference)
+    monkeypatch.setattr(
+        SupervectorExtractor, "extract_matrix", extract_matrix_reference
+    )
     monkeypatch.setattr(TFLLRScaler, "fit", tfllr_fit_reference)
     monkeypatch.setattr(TFLLRScaler, "transform", tfllr_transform_reference)
