@@ -86,14 +86,9 @@ class MMITrainer:
         With ``label_smoothing`` > 0 the objective is the smoothed-target
         expected log posterior (matching the refinement gradient).
         """
-        log_post = backend.class_log_posteriors(x)
-        n, k = log_post.shape
-        if label_smoothing <= 0.0:
-            return float(np.mean(log_post[np.arange(n), labels]))
-        eps = label_smoothing
-        targets = np.full((n, k), eps / k)
-        targets[np.arange(n), labels] += 1.0 - eps
-        return float(np.mean(np.sum(targets * log_post, axis=1)))
+        return _objective(
+            backend.class_log_posteriors(x), labels, label_smoothing
+        )
 
     def _regularised_objective(
         self,
@@ -101,14 +96,17 @@ class MMITrainer:
         x: np.ndarray,
         labels: np.ndarray,
         ml_means: np.ndarray,
-    ) -> float:
-        """Smoothed MMI objective minus the I-smoothing penalty."""
-        base = self.objective(backend, x, labels, self.label_smoothing)
+    ) -> tuple[float, np.ndarray]:
+        """Smoothed MMI objective minus the I-smoothing penalty, and the
+        log-posteriors it was computed from (the next step's gradient
+        needs them at the same means)."""
+        log_post = backend.class_log_posteriors(x)
+        base = _objective(log_post, labels, self.label_smoothing)
         diff = backend.means_ - ml_means
         penalty = 0.5 * self.i_smoothing * float(
             np.sum(diff * diff / backend.variance_[None, :])
         ) / max(x.shape[0], 1)
-        return base - penalty
+        return base - penalty, log_post
 
     def refine(
         self,
@@ -133,11 +131,15 @@ class MMITrainer:
         lr = self.learning_rate
         tau_i = self.i_smoothing
         ml_means = backend.means_.copy()
-        self.objective_path_ = [
-            self._regularised_objective(backend, x, labels, ml_means)
-        ]
+        # ``log_post`` always holds the log-posteriors at the current
+        # parameters: an accepted step's objective computed them, and a
+        # rejected step restores the parameters they were computed at.
+        objective, log_post = self._regularised_objective(
+            backend, x, labels, ml_means
+        )
+        self.objective_path_ = [objective]
         for _ in range(self.n_iter):
-            post = np.exp(backend.class_log_posteriors(x))
+            post = np.exp(log_post)
             weight = one_hot - post  # (n, K)
             inv_var = 1.0 / backend.variance_
             # Gradient wrt means: sum_i weight[i,k] * invvar * (x_i - mu_k),
@@ -164,7 +166,9 @@ class MMITrainer:
                     * np.exp(lr * grad_logvar / max(n, 1)),
                     backend.var_floor,
                 )
-            new_obj = self._regularised_objective(backend, x, labels, ml_means)
+            new_obj, new_log_post = self._regularised_objective(
+                backend, x, labels, ml_means
+            )
             if new_obj < self.objective_path_[-1]:
                 # Step was too large: revert and halve.
                 backend.means_ = old_means
@@ -173,8 +177,22 @@ class MMITrainer:
                 if lr < 1e-6:
                     break
                 continue
+            log_post = new_log_post
             improved = new_obj - self.objective_path_[-1]
             self.objective_path_.append(new_obj)
             if improved < self.tol:
                 break
         return backend
+
+
+def _objective(
+    log_post: np.ndarray, labels: np.ndarray, label_smoothing: float
+) -> float:
+    """:meth:`MMITrainer.objective` from the class log-posteriors."""
+    n, k = log_post.shape
+    if label_smoothing <= 0.0:
+        return float(np.mean(log_post[np.arange(n), labels]))
+    eps = label_smoothing
+    targets = np.full((n, k), eps / k)
+    targets[np.arange(n), labels] += 1.0 - eps
+    return float(np.mean(np.sum(targets * log_post, axis=1)))

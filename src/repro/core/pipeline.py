@@ -32,6 +32,9 @@ store attached, a killed campaign resumes from its persisted stage
 products, a re-run with an unchanged config executes zero decode work,
 and independent per-frontend stages fan out over a thread pool (a layer
 above the utterance-level :func:`~repro.utils.parallel.pmap`).
+:func:`build_system` adds one more stage before the system exists,
+``world`` (the language family and the confusion battery), so a warm
+build restores what it would otherwise draw.
 
 Every stage opens a :mod:`repro.obs.trace` span named after its Table 5
 stage (decoding / sv_generation / svm_training / sv_product), carrying
@@ -57,6 +60,7 @@ from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.dba import PseudoLabels, build_dba_training_set, select_pseudo_labels
 from repro.core.voting import vote_count_matrix, vote_fit_counts
 from repro.corpus.generator import Corpus
+from repro.corpus.language import LanguageSpec
 from repro.corpus.splits import CorpusBundle, make_corpus_bundle
 from repro.exec.graph import (
     Stage,
@@ -66,6 +70,7 @@ from repro.exec.graph import (
 )
 from repro.exec.store import ArtifactStore, stage_key
 from repro.faults import AllFrontendsFailedError, RetryPolicy
+from repro.frontend.confusion import ConfusionChannelRecognizer
 from repro.frontend.lattice import Sausage
 from repro.frontend.registry import build_frontends, decode_utterances
 from repro.metrics.cavg import cavg
@@ -91,6 +96,12 @@ __all__ = [
 #: by the row-gather-only trainer (which Gram-form fits equal only to
 #: rounding) read as misses.
 SVM_SOLVER = 2
+
+#: Revision of the ``world`` stage product (the language family and the
+#: confusion battery) in its key.  Bump it whenever language generation
+#: or battery construction changes numbers, so stores holding worlds of
+#: the old code read as misses.
+WORLD_REVISION = 1
 
 
 def _pick(values: dict[str, Any], names: str | dict) -> Any:
@@ -1234,6 +1245,103 @@ class PhonotacticSystem:
         )
 
 
+def _world_state(
+    world: tuple[CorpusBundle, list[ConfusionChannelRecognizer]],
+) -> dict[str, Any]:
+    """The ``world`` stage product as one flat dict of named arrays:
+    ``language.<i>.<member>`` per language, ``recognizer.<i>.<member>``
+    per confusion recognizer."""
+    bundle, recognizers = world
+    state = {}
+    for prefix, parts in (
+        ("language", bundle.registry), ("recognizer", recognizers)
+    ):
+        for i, part in enumerate(parts):
+            for name, value in part.state_dict().items():
+                state[f"{prefix}.{i}.{name}"] = value
+    return state
+
+
+def _state_parts(state: dict[str, Any]) -> dict[str, list[dict]]:
+    """The per-part states of :func:`_world_state`, by prefix."""
+    parts: dict[str, dict[int, dict[str, Any]]] = {
+        "language": {}, "recognizer": {}
+    }
+    for key, value in state.items():
+        head, index, name = key.split(".", 2)
+        parts[head].setdefault(int(index), {})[name] = value
+    return {
+        head: [by_index[i] for i in sorted(by_index)]
+        for head, by_index in parts.items()
+    }
+
+
+def _world(
+    config: ExperimentConfig,
+    *,
+    store: ArtifactStore | None,
+    fingerprint: str,
+    retry: RetryPolicy | None,
+) -> tuple[CorpusBundle, list[ConfusionChannelRecognizer]]:
+    """The corpus bundle and the confusion battery, as the ``world`` stage.
+
+    The stage persists what a build draws that the corpus plans and the
+    stage keys do not already fix: every
+    :class:`~repro.corpus.language.LanguageSpec` of the language family
+    and, in confusion mode, every recognizer's inventory and distance
+    scale.  A hit restores them, so a warm build draws no language and
+    builds no inventory; the acoustic space, the session samplers and
+    the corpus plans are built as always.  In acoustic mode the battery
+    is empty: its recognizers train after the stage.  Without a store
+    the stage computes, uncached; it is never claimed, since every
+    worker computes the same bytes.
+    """
+    confusion = config.frontend_mode == "confusion"
+
+    def compute():
+        bundle = make_corpus_bundle(config.corpus)
+        recognizers = (
+            build_frontends(bundle, top_k=config.system.top_k)
+            if confusion
+            else []
+        )
+        return bundle, recognizers
+
+    def decode(state):
+        parts = _state_parts(state)
+        bundle = make_corpus_bundle(
+            config.corpus,
+            languages=[
+                LanguageSpec.from_state(part) for part in parts["language"]
+            ],
+        )
+        recognizers = [
+            ConfusionChannelRecognizer.from_state(part, bundle.acoustics)
+            for part in parts["recognizer"]
+        ]
+        return bundle, recognizers
+
+    return run_stage(
+        compute,
+        family="world",
+        store=store,
+        key=(
+            None
+            if store is None
+            else stage_key(
+                "world",
+                fingerprint=fingerprint,
+                params={"world_revision": WORLD_REVISION},
+            )
+        ),
+        kind="arrays",
+        encode=_world_state,
+        decode=decode,
+        meta={"stage": "world"},
+        retry=retry,
+    )
+
+
 def build_system(
     config: ExperimentConfig | None = None,
     *,
@@ -1247,8 +1355,11 @@ def build_system(
 
     ``store`` (an :class:`~repro.exec.store.ArtifactStore` or a
     directory path to open one at) attaches persistent stage memoization
-    keyed by the config's fingerprint.  ``retry`` / ``on_error`` /
-    ``max_quarantine_fraction`` configure the fault-tolerance ladder
+    keyed by the config's fingerprint; the language family and the
+    confusion battery are its ``world`` stage (:func:`_world`), so a
+    warm build restores them instead of drawing them.  ``retry`` /
+    ``on_error`` / ``max_quarantine_fraction`` configure the
+    fault-tolerance ladder
     (see :class:`PhonotacticSystem`); ``claims`` attaches a
     :class:`repro.dist.LeaseBoard` so store-keyed stages are claimed
     across worker processes instead of recomputed per process.
@@ -1256,18 +1367,22 @@ def build_system(
     from repro.serve.artifacts import config_fingerprint
 
     config = config or ExperimentConfig()
-    bundle = make_corpus_bundle(config.corpus)
-    frontends = build_frontends(
-        bundle, mode=config.frontend_mode, top_k=config.system.top_k
-    )
+    fingerprint = config_fingerprint(config)
     if store is not None and not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
+    bundle, frontends = _world(
+        config, store=store, fingerprint=fingerprint, retry=retry
+    )
+    if config.frontend_mode != "confusion":
+        frontends = build_frontends(
+            bundle, mode=config.frontend_mode, top_k=config.system.top_k
+        )
     return PhonotacticSystem(
         bundle,
         frontends,
         config.system,
         store=store,
-        fingerprint=config_fingerprint(config),
+        fingerprint=fingerprint,
         retry=retry,
         on_error=on_error,
         max_quarantine_fraction=max_quarantine_fraction,

@@ -29,6 +29,11 @@ from repro.utils.validation import check_positive, check_probability
 __all__ = ["LanguageSpec", "make_language", "make_language_family", "LanguageRegistry"]
 
 
+#: Distance from 1 a probability sum may have: ``np.allclose``'s
+#: ``atol + rtol * |1.0|`` at ``atol=1e-6`` and its default ``rtol``.
+_SUM_TOL = 1e-6 + 1e-5 * 1.0
+
+
 @dataclass(frozen=True)
 class LanguageSpec:
     """A generative phonotactic model for one language.
@@ -64,16 +69,41 @@ class LanguageSpec:
             raise ValueError("initial distribution shape mismatch")
         if trans.shape != (p, p):
             raise ValueError("transition matrix shape mismatch")
-        if not np.allclose(init.sum(), 1.0, atol=1e-6):
+        # ``np.allclose(sums, 1.0, atol=1e-6)``, written out: this runs
+        # for every spec a warm build restores.
+        if not abs(init.sum() - 1.0) <= _SUM_TOL:
             raise ValueError("initial distribution must sum to 1")
-        if not np.allclose(trans.sum(axis=1), 1.0, atol=1e-6):
+        if not (abs(trans.sum(axis=1) - 1.0) <= _SUM_TOL).all():
             raise ValueError("transition rows must sum to 1")
-        if np.any(init < 0) or np.any(trans < 0):
+        if (init < 0).any() or (trans < 0).any():
             raise ValueError("probabilities must be non-negative")
         check_positive("mean_duration", self.mean_duration)
         object.__setattr__(self, "inventory", inv)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "transition", trans)
+
+    def state_dict(self) -> dict:
+        """The spec as named arrays for one flat :mod:`repro.utils.payload`
+        file; :meth:`from_state` restores an equal spec."""
+        return {
+            "name": np.str_(self.name),
+            "inventory": self.inventory,
+            "initial": self.initial,
+            "transition": self.transition,
+            "mean_duration": np.float64(self.mean_duration),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "LanguageSpec":
+        """Rebuild a spec from :meth:`state_dict` output, validated as
+        a generated one is."""
+        return cls(
+            name=str(state["name"]),
+            inventory=state["inventory"],
+            initial=state["initial"],
+            transition=state["transition"],
+            mean_duration=float(state["mean_duration"]),
+        )
 
     @property
     def n_phones(self) -> int:

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.corpus.acoustics import AcousticSpace
 from repro.corpus.generator import Corpus, UtteranceGenerator
-from repro.corpus.language import LanguageRegistry, make_language_family
+from repro.corpus.language import (
+    LanguageRegistry,
+    LanguageSpec,
+    make_language_family,
+)
 from repro.corpus.phoneset import PhoneSet, universal_phone_set
 from repro.corpus.speaker import SessionSampler
 
@@ -106,16 +110,23 @@ class CorpusBundle:
         return self.registry.names
 
 
-def make_corpus_bundle(config: CorpusConfig | None = None) -> CorpusBundle:
+def make_corpus_bundle(
+    config: CorpusConfig | None = None,
+    *,
+    languages: list[LanguageSpec] | None = None,
+) -> CorpusBundle:
     """Plan a full train/dev/test bundle from ``config`` (deterministic).
 
     Utterances are sampled lazily, each from its own seeded stream, so
     the content does not depend on when (or whether) a corpus is read.
+    ``languages`` is the language family ``config`` generates, restored
+    from an earlier build (the ``world`` store stage); when omitted it
+    is generated.
     """
     config = config or CorpusConfig()
     universal = universal_phone_set()
-    registry = LanguageRegistry(
-        make_language_family(
+    if languages is None:
+        languages = make_language_family(
             config.n_languages,
             config.seed,
             universal=universal,
@@ -123,7 +134,7 @@ def make_corpus_bundle(config: CorpusConfig | None = None) -> CorpusBundle:
             family_weight=config.family_weight,
             inventory_size=config.inventory_size,
         )
-    )
+    registry = LanguageRegistry(languages)
     acoustics = AcousticSpace(
         universal, feature_dim=config.feature_dim, seed=config.seed
     )

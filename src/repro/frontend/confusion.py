@@ -26,6 +26,7 @@ of the two paths at small scale is covered by integration tests.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,28 +104,83 @@ class ConfusionChannelRecognizer:
         *,
         seed: int = 0,
     ) -> None:
+        rng = child_rng(seed, f"confusion/{name}")
+        local_ids = sample_inventory(
+            acoustics.phone_set, inventory_size, rng, core_fraction=0.5
+        )
+        self._attach(name, acoustics, model or ConfusionModel(), local_ids)
+
+    def _attach(
+        self,
+        name: str,
+        acoustics: AcousticSpace,
+        model: ConfusionModel,
+        local_ids: np.ndarray,
+        scale: float | None = None,
+    ) -> None:
+        """Set the recognizer up over its local inventory; ``scale`` is
+        the distance scale, computed when not given."""
         self.name = name
         self.acoustics = acoustics
-        self.model = model or ConfusionModel()
-        rng = child_rng(seed, f"confusion/{name}")
-        universal = acoustics.phone_set
-        self._local_universal_ids = sample_inventory(
-            universal, inventory_size, rng, core_fraction=0.5
-        )
-        self.phone_set = universal.subset(name, self._local_universal_ids)
-        self._scale = self._distance_scale()
+        self.model = model
+        self._local_universal_ids = local_ids
+        self.phone_set = acoustics.phone_set.subset(name, local_ids)
         # Prototype means and their squared row norms are fixed by the
         # inventory; hoisting them out of _projection_for_means matters
         # because session shifts force a fresh projection per utterance.
-        self._protos = acoustics.phone_means[self._local_universal_ids]
+        self._protos = acoustics.phone_means[local_ids]
         self._protos_sq = np.sum(self._protos**2, axis=1)
+        self._scale = self._distance_scale() if scale is None else scale
+
+    # ------------------------------------------------------------------
+    # persistence (the ``world`` store stage)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """The recognizer as named arrays for one flat
+        :mod:`repro.utils.payload` file: its name, error model, local
+        inventory (universal ids) and distance scale.  The acoustic
+        space is shared by the battery and not part of the state."""
+        state = {
+            "name": np.str_(self.name),
+            "local_universal_ids": self._local_universal_ids,
+            "scale": np.float64(self._scale),
+        }
+        for field in dataclasses.fields(ConfusionModel):
+            state[f"model.{field.name}"] = np.asarray(
+                getattr(self.model, field.name)
+            )
+        return state
+
+    @classmethod
+    def from_state(
+        cls, state: dict, acoustics: AcousticSpace
+    ) -> "ConfusionChannelRecognizer":
+        """Rebuild a recognizer over ``acoustics`` from :meth:`state_dict`
+        output; it decodes bitwise as the recognizer it was taken from
+        (given the same acoustic space), with no inventory draw and no
+        distance-scale computation."""
+        model = ConfusionModel(
+            **{
+                field.name: state[f"model.{field.name}"].item()
+                for field in dataclasses.fields(ConfusionModel)
+            }
+        )
+        recognizer = cls.__new__(cls)
+        recognizer._attach(
+            str(state["name"]),
+            acoustics,
+            model,
+            state["local_universal_ids"],
+            float(state["scale"]),
+        )
+        return recognizer
 
     # ------------------------------------------------------------------
     # projection
     # ------------------------------------------------------------------
     def _distance_scale(self) -> float:
         """Median inter-prototype squared distance (tau normaliser)."""
-        protos = self.acoustics.phone_means[self._local_universal_ids]
+        protos = self._protos
         proto_d2 = (
             np.sum(protos**2, axis=1)[:, None]
             - 2.0 * protos @ protos.T

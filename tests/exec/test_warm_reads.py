@@ -34,9 +34,10 @@ CONFIG = replace(
     ),
 )
 THRESHOLD = 3
-#: Store reads of one warm Table 4 over 6 frontends and 2 durations:
-#: 2 vote selections and 28 fused score vectors.
-WARM_HITS = 30
+#: Store reads of a warm build and one warm Table 4 over 6 frontends and
+#: 2 durations: 1 world (languages and recognizers), 2 vote selections
+#: and 28 fused score vectors.
+WARM_HITS = 31
 
 
 def _table4(system):
