@@ -22,19 +22,22 @@ one frontend battery:
    (N = 1) and across frontends and DBA variants (Table 4's
    "(DBA-M1)+(DBA-M2)" fusion).
 
-Since 1.3 the flow is factored onto the :mod:`repro.exec` stage layer:
-each step above is a declared stage of a
+Each step above is a node of the system's one
 :class:`~repro.exec.graph.StageGraph` — ``phi`` (decode + supervector
 extraction), ``svm_train``, ``score``, ``vote``, ``dba_train`` and
-``fuse`` — keyed by the experiment config fingerprint and memoized
-against an optional :class:`~repro.exec.store.ArtifactStore`.  With a
-store attached, a killed campaign resumes from its persisted stage
-products, a re-run with an unchanged config executes zero decode work,
-and independent per-frontend stages fan out over a thread pool (a layer
-above the utterance-level :func:`~repro.utils.parallel.pmap`).
-:func:`build_system` adds one more stage before the system exists,
-``world`` (the language family and the confusion battery), so a warm
-build restores what it would otherwise draw.
+``fuse`` — declared the first time something needs it, keyed by the
+experiment config fingerprint and memoized against an optional
+:class:`~repro.exec.store.ArtifactStore`.  The graph keeps every value
+it resolves, so the baseline and every DBA pass share one φ(x) per
+(frontend, corpus), and DBA-M1 and DBA-M2 at one threshold share one
+vote.  With a store attached, a killed campaign resumes from its
+persisted stage products, a re-run with an unchanged config executes
+zero decode work, and independent per-frontend stages fan out over a
+thread pool (a layer above the utterance-level
+:func:`~repro.utils.parallel.pmap`).  :func:`build_system` runs one more
+stage before the system exists, ``world`` (the language family and the
+confusion battery), so a warm build restores what it would otherwise
+draw.
 
 Every stage opens a :mod:`repro.obs.trace` span named after its Table 5
 stage (decoding / sv_generation / svm_training / sv_product), carrying
@@ -50,8 +53,8 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable
+from functools import cached_property, partial
+from typing import Any
 
 import numpy as np
 
@@ -62,12 +65,7 @@ from repro.core.voting import vote_count_matrix, vote_fit_counts
 from repro.corpus.generator import Corpus
 from repro.corpus.language import LanguageSpec
 from repro.corpus.splits import CorpusBundle, make_corpus_bundle
-from repro.exec.graph import (
-    Stage,
-    StageDependencyError,
-    StageGraph,
-    run_stage,
-)
+from repro.exec.graph import StageDependencyError, StageGraph, run_stage
 from repro.exec.store import ArtifactStore, stage_key
 from repro.faults import AllFrontendsFailedError, RetryPolicy
 from repro.frontend.confusion import ConfusionChannelRecognizer
@@ -104,88 +102,39 @@ SVM_SOLVER = 2
 WORLD_REVISION = 1
 
 
-def _pick(values: dict[str, Any], names: str | dict) -> Any:
-    """The stage value named ``names``, or a dict of them keyed alike."""
-    if isinstance(names, str):
-        return values[names]
-    return {k: values[name] for k, name in names.items()}
-
-
-class _Deferred:
-    """Stage products left in the store until first read.
-
-    ``load`` returns ``{stage name: value}`` for a set of stages (one
-    graph run, made once however many fields share it); ``names`` picks
-    this field's value out of it, as for :func:`_pick`.
-    """
-
-    __slots__ = ("load", "names")
-
-    def __init__(self, load: Callable[[], dict[str, Any]], names) -> None:
-        self.load = load
-        self.names = names
-
-    def resolve(self) -> Any:
-        return _pick(self.load(), self.names)
-
-
-class _OnFirstRead:
-    """A dataclass field that resolves a loader on first read.
-
-    The resolved value replaces the loader, so later reads cost nothing;
-    a value given directly reads as it is.  ``_OnFirstRead(value)``
-    gives the field a default; ``_OnFirstRead()`` makes it required.
-    """
-
-    def __init__(self, *default) -> None:
-        self.default = default
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            # The class-level read is dataclasses asking for a default.
-            if self.default:
-                return self.default[0]
-            raise AttributeError(self.slot)
-        value = getattr(obj, self.slot)
-        if isinstance(value, _Deferred):
-            value = value.resolve()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value) -> None:
-        setattr(obj, self.slot, value)
-
-
-@dataclass
+@dataclass(eq=False)
 class SubsystemScores:
-    """Raw SVM score matrices of one subsystem (Eq. 9).
+    """Raw SVM score matrices of one subsystem (Eq. 9), as graph reads.
 
     ``test`` maps each nominal duration to an ``(m_d, K)`` matrix.
     ``vsm`` is the fitted classifier that produced the scores; it is
     kept so a trained system can be exported for online serving
     (:mod:`repro.serve`) without retraining.
 
-    Each field holds its value when the run computed it, or loaded it
-    for a stage it executed.  Otherwise the field holds a loader and
-    resolves from the store on first read, each field on its own:
-    ``dev`` in one score stage, ``test`` in one run of the subsystem's
-    len(durations) test score stages, and ``vsm`` alone.  A warm re-run
+    The view holds node names only.  Each of ``dev``, ``test`` and
+    ``vsm`` reads its nodes from the system's graph on first access and
+    returns that same object afterwards: a product the run resolved is
+    handed over, any other loads from the store then.  A warm re-run
     whose fused scores are all store hits thus reads no score matrix
-    and loads no model, and a vote, which pools test scores only, reads
-    no dev matrix.
+    and loads no model.
     """
 
     name: str
-    dev: np.ndarray = _OnFirstRead()
-    test: dict[float, np.ndarray] = _OnFirstRead()
-    vsm: VSM | None = _OnFirstRead(None)
+    graph: StageGraph = field(repr=False)
+    #: node names: the fit, the dev scores, the test scores by duration
+    nodes: tuple[str, str, dict[float, str]] = field(repr=False)
 
-    def __repr__(self) -> str:
-        # Reads no other field: a deferred one would load from the store.
-        return f"{type(self).__name__}(name={self.name!r})"
+    @cached_property
+    def dev(self) -> np.ndarray:
+        return self.graph.value(self.nodes[1])
+
+    @cached_property
+    def test(self) -> dict[float, np.ndarray]:
+        return {d: self.graph.value(n) for d, n in self.nodes[2].items()}
+
+    @cached_property
+    def vsm(self) -> VSM | None:
+        return self.graph.value(self.nodes[0])
 
 
 @dataclass
@@ -366,6 +315,11 @@ class PhonotacticSystem:
         Per-corpus ceiling on the quarantined-utterance fraction before
         the decode hard-fails with
         :class:`~repro.utils.parallel.QuarantineExceededError`.
+
+    Every stage is a node of one graph; a node's compute reads only its
+    declared dependencies.  Per-frontend node names carry the frontend
+    second (``score/<FE>/<model>/<tag>``), which is how degradation
+    attributes a failure; ``vote`` and ``fuse`` names carry none there.
     """
 
     def __init__(
@@ -396,10 +350,10 @@ class PhonotacticSystem:
             raise ValueError("frontend names must be unique")
         self.n_classes = len(bundle.registry)
         self.durations: tuple[float, ...] = tuple(bundle.config.durations)
+        self._test_tags = [f"test@{d}" for d in self.durations]
         self._labels: dict[str, np.ndarray] = {}
-        self._matrices: dict[tuple[str, str], SparseMatrix] = {}
-        #: fitted LDA-MMI backends: key -> (dev arrays, weights, fit)
-        self._fusions: dict[tuple, tuple] = {}
+        #: fitted LDA-MMI backends, keyed by member model ids (and weights)
+        self._fusions: dict[Any, LdaMmiFusion] = {}
         #: optional repro.exec.store.ArtifactStore persisting all stage
         #: products (resumable campaigns)
         self.store = store
@@ -415,7 +369,15 @@ class PhonotacticSystem:
         #: quarantined utterance ids: (frontend, corpus tag) -> utt ids
         self.quarantined: dict[tuple[str, str], list[str]] = {}
         self._cache_lock = threading.Lock()
-        self._matrix_locks: dict[tuple[str, str], threading.Lock] = {}
+        #: every stage of this system, declared on first need
+        self._graph = StageGraph(
+            store,
+            workers=self.system.workers,
+            retry=retry,
+            claims=claims,
+            declare=self._declare_phi,
+        )
+        self._frontend_named = {fe.name: fe for fe in self.frontends}
 
     def _derived_fingerprint(self) -> str:
         """Fallback stage-key namespace for directly constructed systems.
@@ -497,53 +459,42 @@ class PhonotacticSystem:
         )
 
     # ------------------------------------------------------------------
-    # decode + supervector extraction (cached)
+    # decode + supervector extraction (the phi nodes)
     # ------------------------------------------------------------------
     def raw_matrix(self, frontend, tag: str) -> SparseMatrix:
-        """Decode + extract the raw supervector matrix (the ``phi`` stage).
+        """Decode + extract the raw supervector matrix (the ``phi`` node).
 
-        Results are cached in memory per (frontend, tag); with a
-        ``store`` configured, matrices also persist to disk and are
-        reloaded on subsequent runs.  Thread-safe: per-key locks let the
-        stage graph decode different (frontend, corpus) pairs
-        concurrently without duplicating work.
+        The graph keeps the matrix, so every later read of one
+        (frontend, tag) pair returns the same object; with a ``store``
+        configured, matrices also persist to disk and are reloaded on
+        subsequent runs.
         """
-        mkey = (frontend.name, tag)
-        with self._cache_lock:
-            matrix = self._matrices.get(mkey)
-            if matrix is not None:
-                return matrix
-            lock = self._matrix_locks.setdefault(mkey, threading.Lock())
-        with lock:
-            with self._cache_lock:
-                matrix = self._matrices.get(mkey)
-            if matrix is None:
-                key = self._phi_key(frontend, tag)
-                # The compute adds the corpus's audio seconds before the
-                # put, so later runs time φ consumers without sampling.
-                meta = {"frontend": frontend.name, "corpus": tag}
-                matrix = run_stage(
-                    partial(self._compute_raw_matrix, frontend, tag, meta),
-                    family="phi",
-                    store=self.store,
-                    key=key,
-                    kind="sparse",
-                    meta=meta,
-                    retry=self.retry,
-                    claims=self.claims,
-                )
-                # A matrix with quarantined utterances is *partial*: it
-                # may be used for this degraded run but must not be
-                # served to later runs under the clean content key.
-                if (
-                    mkey in self.quarantined
-                    and self.store is not None
-                    and key is not None
-                ):
-                    self.store.delete(key)
-                with self._cache_lock:
-                    self._matrices[mkey] = matrix
+        matrix = self._graph.value(self._phi(frontend, tag))
+        self._purge_tainted()
         return matrix
+
+    def _declare_phi(self, name: str) -> None:
+        """Declare the φ node ``name`` once a plan needs it: fits and
+        scores only name theirs, so a stored one costs no φ key."""
+        if name.startswith("phi/"):
+            _, frontend, tag = name.split("/")
+            self._phi(self._frontend_named[frontend], tag)
+
+    def _phi(self, frontend, tag: str) -> str:
+        """Declare (once) the φ node of one (frontend, corpus) pair."""
+        name = f"phi/{frontend.name}/{tag}"
+        if name not in self._graph:
+            # The compute adds the corpus's audio seconds before the
+            # put, so later runs time φ consumers without sampling.
+            meta = {"frontend": frontend.name, "corpus": tag}
+            self._graph.stage(
+                name,
+                lambda deps: self._compute_raw_matrix(frontend, tag, meta),
+                key=self._phi_key(frontend, tag),
+                kind="sparse",
+                meta=meta,
+            )
+        return name
 
     def _phi_key(self, frontend, tag: str) -> str | None:
         """Store key of the φ stage of one (frontend, corpus) pair."""
@@ -704,177 +655,213 @@ class PhonotacticSystem:
         default_registry().counter("exec.degraded.frontends").inc(len(dead))
         trace.annotate_root(degraded_frontends=sorted(self.degraded))
 
-    def _purge_tainted(self, graph: StageGraph) -> None:
-        """Un-persist store products of tainted frontends' stages.
+    def _purge_tainted(self) -> None:
+        """Un-persist store products of tainted frontends' nodes.
 
         Products downstream of a partially quarantined φ matrix carry
         content keys that promise the clean value; like serve never
         caching partial score stacks, they must not outlive this run.
-        (The φ entries themselves are purged by :meth:`raw_matrix`.)
+        A φ node is partial only where its own corpus was quarantined.
         """
         if self.store is None:
             return
         tainted = self._tainted_frontends()
         if not tainted:
             return
-        for name in graph.names():
-            parts = name.split("/")
-            if len(parts) > 1 and parts[1] in tainted:
-                key = graph.stage_named(name).key
-                if key is not None:
-                    self.store.delete(key)
+        for name in self._graph.names():
+            family, frontend, *rest = name.split("/")
+            if frontend not in tainted or (
+                family == "phi" and (frontend, rest[0]) not in self.quarantined
+            ):
+                continue
+            key = self._graph.stage_named(name).key
+            if key is not None:
+                self.store.delete(key)
 
     # ------------------------------------------------------------------
-    # stage-graph construction helpers
+    # node declarations
     # ------------------------------------------------------------------
-    def _phi_stage(self, graph: StageGraph, frontend, tag: str) -> str:
-        """Declare (once) the φ stage of one (frontend, corpus) pair.
+    def _fit(
+        self, name, frontend, seed_offset, deps, training_set, model_id, **key
+    ) -> str:
+        """Declare (once) the fit ``name``: an SVM on ``training_set(deps)``,
+        stored under ``key`` besides the seed offset and solver."""
+        if name not in self._graph:
 
-        The stage delegates to :meth:`raw_matrix`, which owns the store
-        round-trip and the ``phi`` accounting; the graph node only
-        contributes ordering and parallel fan-out (``instrument=False``
-        keeps one logical stage from being counted twice).
-        """
-        name = f"phi/{frontend.name}/{tag}"
-        if name not in graph:
-            graph.stage(
+            def fit(values) -> VSM:
+                x, y = training_set(values)
+                vsm = self._make_vsm(frontend, seed_offset)
+                with trace.span("svm_training"):
+                    vsm.fit_matrix(x, y)
+                return vsm
+
+            self._graph.stage(
                 name,
-                lambda deps, fe=frontend, t=tag: self.raw_matrix(fe, t),
-                instrument=False,
+                fit,
+                deps=deps,
+                key=self._stage_key(
+                    name.split("/", 1)[0],
+                    frontend=frontend.name,
+                    seed_offset=seed_offset,
+                    svm_solver=SVM_SOLVER,
+                    **key,
+                ),
+                encode=VSM.state_dict,
+                decode=VSM.from_state,
+                meta={"frontend": frontend.name, "model": model_id},
             )
         return name
 
-    def _score_stages(
-        self,
-        graph: StageGraph,
-        frontend,
-        fit_stage: str,
-        model_id: str,
-    ) -> dict[str, str]:
-        """Declare dev + per-duration score stages for one fitted VSM.
+    def _svm_fit(self, frontend, q: int) -> str:
+        """Declare (once) the baseline fit of one frontend."""
+        phi = f"phi/{frontend.name}/train"
+        return self._fit(
+            f"svm_train/{frontend.name}",
+            frontend,
+            q,
+            (phi,),
+            lambda deps: (deps[phi], self.labels_for("train")),
+            "baseline",
+            model="baseline",
+        )
 
-        Returns ``{corpus_tag: stage_name}`` for result assembly.
-        """
-        names: dict[str, str] = {}
-        for tag in ["dev", *[f"test@{d}" for d in self.durations]]:
-            phi_stage = self._phi_stage(graph, frontend, tag)
+    def _score(self, frontend, fit: str, model_id: str, tag: str) -> str:
+        """Declare (once) the scores of fit ``fit`` on one corpus."""
+        name = f"score/{frontend.name}/{model_id}/{tag}"
+        if name not in self._graph:
+            phi = f"phi/{frontend.name}/{tag}"
 
-            def score(
-                deps, tag=tag, fit_stage=fit_stage, phi_stage=phi_stage
-            ) -> np.ndarray:
-                vsm = deps[fit_stage]
-                raw = deps[phi_stage]
+            def score(deps) -> np.ndarray:
+                vsm, raw = deps[fit], deps[phi]
                 if tag == "dev":
                     return vsm.score_matrix(raw)
                 audio = self._audio_seconds(frontend, tag)
                 with trace.span("sv_product").inc("audio_s", audio):
                     return vsm.score_matrix(raw)
 
-            name = f"score/{frontend.name}/{model_id}/{tag}"
-            graph.stage(
+            self._graph.stage(
                 name,
                 score,
-                deps=(fit_stage, phi_stage),
+                deps=(fit, phi),
                 key=self._stage_key(
-                    "score",
-                    frontend=frontend.name,
-                    corpus=tag,
-                    model=model_id,
+                    "score", frontend=frontend.name, corpus=tag, model=model_id
                 ),
                 kind="array",
-                family="score",
-                meta={
-                    "frontend": frontend.name,
-                    "corpus": tag,
-                    "model": model_id,
-                },
+                meta={"frontend": frontend.name, "corpus": tag, "model": model_id},
             )
-            names[tag] = name
-        return names
+        return name
 
-    def _result_targets(
-        self, graph: StageGraph, score_names: dict[str, dict[str, str]]
-    ) -> list[str]:
-        """The score stages this run must produce.
+    def _vote(self, threshold: int) -> str:
+        """Declare (once) the vote at ``threshold`` over the baseline test
+        score nodes of the battery, whose membership is in its key — a
+        degraded run's selection never answers for the full battery's,
+        and with any taint present it does not persist at all."""
+        threshold = int(threshold)
+        name = f"vote/V{threshold}"
+        if name not in self._graph:
+            members = [fe.name for fe in self.frontends]
+            tests = [
+                [
+                    self._score(fe, self._svm_fit(fe, q), "baseline", tag)
+                    for tag in self._test_tags
+                ]
+                for q, fe in enumerate(self.frontends)
+            ]
 
-        A frontend whose score stages are all store hits is left out:
-        its :class:`SubsystemScores` reads them on first use instead.
-        So is every fit: it runs (or loads) only when a live score stage
-        needs it, and otherwise stays in the store until its
-        :attr:`SubsystemScores.vsm` is read.  A tainted frontend's
-        products are purged after the run, so it reads them now.
+            def vote(deps):
+                pooled = [np.vstack([deps[n] for n in sub]) for sub in tests]
+                vote_counts = vote_count_matrix(pooled)
+                pseudo = select_pseudo_labels(vote_counts, threshold)
+                return vote_counts, vote_fit_counts(pooled), pseudo
+
+            self._graph.stage(
+                name,
+                vote,
+                deps=[n for sub in tests for n in sub],
+                key=(
+                    None
+                    if self._tainted_frontends()
+                    else self._stage_key(
+                        "vote", threshold=threshold, frontends=members
+                    )
+                ),
+                encode=_encode_vote,
+                decode=_decode_vote,
+                meta={"threshold": threshold, "frontends": members},
+            )
+        return name
+
+    def _dba_fit(
+        self, threshold: int, variant: str, vote: str, frontend, q: int
+    ) -> str:
+        """Declare (once) one frontend's DBA retrain (§3 e)."""
+        model_id = f"dba-{variant}-V{threshold}"
+        phi_train, *phi_tests = (
+            f"phi/{frontend.name}/{t}" for t in ["train", *self._test_tags]
+        )
+
+        def training_set(deps):
+            pooled = deps[phi_tests[0]]
+            for phi in phi_tests[1:]:
+                pooled = pooled.vstack(deps[phi])
+            return build_dba_training_set(
+                variant,
+                deps[phi_train],
+                self.labels_for("train"),
+                pooled,
+                deps[vote][2],
+            )
+
+        return self._fit(
+            f"dba_train/{frontend.name}/{model_id}",
+            frontend,
+            100 + q,
+            (phi_train, *phi_tests, vote),
+            training_set,
+            model_id,
+            threshold=int(threshold),
+            variant=variant,
+        )
+
+    def _subsystems(self, model_id: str, fit_node) -> list[SubsystemScores]:
+        """Views over ``model_id``'s nodes, one per surviving frontend.
+
+        ``fit_node(frontend, q)`` declares a frontend's fit.  One run
+        resolves the score nodes of each frontend the store cannot
+        answer in full (of a tainted one always, as its products are
+        purged after), degrading under ``on_error="degrade"``; the rest
+        stay in the store until first read.
         """
         tainted = self._tainted_frontends()
+        views: dict[str, SubsystemScores] = {}
         targets: list[str] = []
-        for frontend, names in score_names.items():
-            stages = list(names.values())
+        for q, frontend in enumerate(self.frontends):
+            fit = fit_node(frontend, q)
+            nodes = [
+                self._score(frontend, fit, model_id, tag)
+                for tag in ["dev", *self._test_tags]
+            ]
             if (
                 self.store is None
-                or frontend in tainted
+                or frontend.name in tainted
                 or not all(
-                    self.store.has(graph.stage_named(n).key) for n in stages
+                    self.store.has(self._graph.stage_named(n).key)
+                    for n in nodes
                 )
             ):
-                targets.extend(stages)
-        return targets
-
-    def _reader(
-        self, graph: StageGraph, results: dict, stages: list[str]
-    ) -> Callable:
-        """A ``names -> value`` reader of ``stages``' products.
-
-        They come from ``results`` when this run produced them all.
-        Otherwise the reader hands out loaders that share one graph run
-        of ``stages`` through the store, made on the first read.
-        """
-        if all(name in results for name in stages):
-            return partial(_pick, results)
-        values: dict[str, Any] = {}
-
-        def load() -> dict[str, Any]:
-            if not values:
-                values.update(
-                    graph.run(
-                        stages,
-                        store=self.store,
-                        retry=self.retry,
-                        claims=self.claims,
-                    )
-                )
-            return values
-
-        return partial(_Deferred, load)
-
-    def _assemble_subsystems(
-        self,
-        graph: StageGraph,
-        results: dict,
-        fit_stages: dict[str, str],
-        score_names: dict[str, dict[str, str]],
-    ) -> list[SubsystemScores]:
-        """Collect graph outputs into per-frontend score bundles.
-
-        Products in ``results`` are handed over; any other is left to
-        load on first read.
-        """
-        subsystems: list[SubsystemScores] = []
-        for frontend in self.frontends:
-            names = score_names[frontend.name]
-            fit = fit_stages[frontend.name]
-            tests = {d: names[f"test@{d}"] for d in self.durations}
-            subsystems.append(
-                SubsystemScores(
-                    frontend.name,
-                    dev=self._reader(graph, results, [names["dev"]])(
-                        names["dev"]
-                    ),
-                    test=self._reader(graph, results, list(tests.values()))(
-                        tests
-                    ),
-                    vsm=self._reader(graph, results, [fit])(fit),
-                )
+                targets.extend(nodes)
+            views[frontend.name] = SubsystemScores(
+                frontend.name,
+                self._graph,
+                (fit, nodes[0], dict(zip(self.durations, nodes[1:]))),
             )
-        return subsystems
+        failures = {} if self.on_error == "degrade" else None
+        if targets:
+            self._graph.run(targets, failures=failures)
+        if failures:
+            self._apply_degradation(failures)
+        self._purge_tainted()
+        return [views[fe.name] for fe in self.frontends]
 
     # ------------------------------------------------------------------
     # baseline (PPRVSM)
@@ -882,73 +869,16 @@ class PhonotacticSystem:
     def baseline(self) -> BaselineResult:
         """Train per-frontend VSMs on ``Tr`` and score dev + all tests.
 
-        Declared as a stage graph — per-frontend chains
-        ``phi/train → svm_train → score/{dev,test@d}`` are independent
-        and fan out in parallel when ``system.workers`` allows; with a
-        store attached, cached ``svm_train``/``score`` products prune
-        the decode stages entirely, and a frontend whose ``score``
-        products are all cached runs nothing: its scores load on first
-        read.
+        Per-frontend chains ``phi/train → svm_train → score/{dev,test@d}``
+        are independent and fan out in parallel when ``system.workers``
+        allows; with a store attached, cached ``svm_train``/``score``
+        products prune the decode stages entirely, and a frontend whose
+        ``score`` products are all cached runs nothing: its scores load
+        on first read.
         """
-        y_train = self.labels_for("train")
-        graph = StageGraph()
-        fit_stages: dict[str, str] = {}
-        score_names: dict[str, dict[str, str]] = {}
-        for q, frontend in enumerate(self.frontends):
-            phi_train = self._phi_stage(graph, frontend, "train")
-
-            def fit(deps, frontend=frontend, q=q, phi_train=phi_train) -> VSM:
-                vsm = self._make_vsm(frontend, q)
-                with trace.span("svm_training"):
-                    vsm.fit_matrix(deps[phi_train], y_train)
-                return vsm
-
-            fit_name = f"svm_train/{frontend.name}"
-            graph.stage(
-                fit_name,
-                fit,
-                deps=(phi_train,),
-                key=self._stage_key(
-                    "svm_train",
-                    frontend=frontend.name,
-                    model="baseline",
-                    seed_offset=q,
-                    svm_solver=SVM_SOLVER,
-                ),
-                kind="arrays",
-                family="svm_train",
-                encode=lambda vsm: vsm.state_dict(),
-                decode=VSM.from_state,
-                meta={"frontend": frontend.name, "model": "baseline"},
-            )
-            fit_stages[frontend.name] = fit_name
-            score_names[frontend.name] = self._score_stages(
-                graph, frontend, fit_name, "baseline"
-            )
-        # Target only the score stages the store cannot answer: φ stages
-        # then run exactly when a live (non-cached) stage still needs them.
-        targets = self._result_targets(graph, score_names)
-        failures: dict[str, BaseException] | None = (
-            {} if self.on_error == "degrade" else None
-        )
         with trace.span("baseline", frontends=len(self.frontends)):
-            results = graph.run(
-                targets,
-                store=self.store,
-                workers=self.system.workers,
-                retry=self.retry,
-                failures=failures,
-                claims=self.claims,
-            )
-        if failures:
-            self._apply_degradation(failures)
-        self._purge_tainted(graph)
-        return BaselineResult(
-            subsystems=self._assemble_subsystems(
-                graph, results, fit_stages, score_names
-            ),
-            durations=self.durations,
-        )
+            subsystems = self._subsystems("baseline", self._svm_fit)
+        return BaselineResult(subsystems, self.durations)
 
     # ------------------------------------------------------------------
     # DBA
@@ -963,130 +893,35 @@ class PhonotacticSystem:
 
         Pseudo-labels are selected from the pooled (all-durations) test
         set; each subsystem retrains once and rescores every duration.
-        The ``vote`` selection and every per-frontend
-        ``dba_train``/``score`` stage memoize against the store, so a
-        threshold change re-executes only the DBA-and-later stages.
+        The ``vote`` selection, shared by every variant at one
+        threshold, and every per-frontend ``dba_train``/``score`` stage
+        memoize against the store, so a threshold change re-executes
+        only the DBA-and-later stages.  The vote reads the graph's
+        baseline nodes; without ``baseline``, :meth:`baseline` runs
+        first, so its failures degrade rather than raise.
         """
-        baseline = baseline or self.baseline()
-        y_train = self.labels_for("train")
-        model_id = f"dba-{variant}-V{threshold}"
+        if baseline is None:
+            self.baseline()
         with trace.span("dba", threshold=threshold, variant=variant) as sp:
-
-            def compute_vote():
-                pooled_scores = baseline.pooled_test_scores()
-                vote_counts = vote_count_matrix(pooled_scores)
-                fit_counts = vote_fit_counts(pooled_scores)
-                pseudo = select_pseudo_labels(vote_counts, threshold)
-                return vote_counts, fit_counts, pseudo
-
-            # The vote pools every surviving frontend's scores, so its
-            # key carries the battery membership — a degraded run's
-            # selection can never answer for the full battery's; with
-            # any taint present it does not persist at all.
-            members = [fe.name for fe in self.frontends]
-            vote_counts, fit_counts, pseudo = run_stage(
-                compute_vote,
-                family="vote",
-                store=self.store,
-                key=(
-                    None
-                    if self._tainted_frontends()
-                    else self._stage_key(
-                        "vote", threshold=int(threshold), frontends=members
-                    )
-                ),
-                kind="arrays",
-                encode=_encode_vote,
-                decode=_decode_vote,
-                meta={"threshold": int(threshold), "frontends": members},
-                retry=self.retry,
-                claims=self.claims,
-            )
+            vote = self._vote(threshold)
+            vote_counts, fit_counts, pseudo = self._graph.value(vote)
             sp.inc("pool", len(pseudo))
             sp.inc("candidates", int(vote_counts.shape[0]))
-
-            graph = StageGraph()
-            fit_stages: dict[str, str] = {}
-            score_names: dict[str, dict[str, str]] = {}
-            test_tags = [f"test@{d}" for d in self.durations]
-            for q, frontend in enumerate(self.frontends):
-                phi_train = self._phi_stage(graph, frontend, "train")
-                phi_tests = tuple(
-                    self._phi_stage(graph, frontend, tag)
-                    for tag in test_tags
-                )
-
-                def fit(
-                    deps,
-                    frontend=frontend,
-                    q=q,
-                    phi_train=phi_train,
-                    phi_tests=phi_tests,
-                ) -> VSM:
-                    pooled = deps[phi_tests[0]]
-                    for name in phi_tests[1:]:
-                        pooled = pooled.vstack(deps[name])
-                    x_dba, y_dba = build_dba_training_set(
-                        variant, deps[phi_train], y_train, pooled, pseudo
-                    )
-                    vsm = self._make_vsm(frontend, 100 + q)
-                    with trace.span("svm_training"):
-                        vsm.fit_matrix(x_dba, y_dba)
-                    return vsm
-
-                fit_name = f"dba_train/{frontend.name}"
-                graph.stage(
-                    fit_name,
-                    fit,
-                    deps=(phi_train, *phi_tests),
-                    key=self._stage_key(
-                        "dba_train",
-                        frontend=frontend.name,
-                        threshold=int(threshold),
-                        variant=variant,
-                        seed_offset=100 + q,
-                        svm_solver=SVM_SOLVER,
-                    ),
-                    kind="arrays",
-                    family="dba_train",
-                    encode=lambda vsm: vsm.state_dict(),
-                    decode=VSM.from_state,
-                    meta={"frontend": frontend.name, "model": model_id},
-                )
-                fit_stages[frontend.name] = fit_name
-                score_names[frontend.name] = self._score_stages(
-                    graph, frontend, fit_name, model_id
-                )
-            targets = self._result_targets(graph, score_names)
-            failures: dict[str, BaseException] | None = (
-                {} if self.on_error == "degrade" else None
+            subsystems = self._subsystems(
+                f"dba-{variant}-V{threshold}",
+                partial(self._dba_fit, threshold, variant, vote),
             )
-            results = graph.run(
-                targets,
-                store=self.store,
-                workers=self.system.workers,
-                retry=self.retry,
-                failures=failures,
-                claims=self.claims,
-            )
-            if failures:
-                self._apply_degradation(failures)
-                # fit_counts is indexed by the vote-time battery order;
-                # keep only the survivors' entries so Eq. 20 weights
-                # renormalize over exactly the subsystems that remain.
-                survivors = {fe.name for fe in self.frontends}
-                live = [
-                    q
-                    for q, n in enumerate(baseline.names)
-                    if n in survivors
-                ]
-                if fit_counts.size:
-                    fit_counts = fit_counts[live]
-            self._purge_tainted(graph)
+        if self.degraded:
+            # fit_counts is indexed by the vote-time battery order; keep
+            # only the survivors' entries so Eq. 20 weights renormalize
+            # over exactly the subsystems that remain.
+            members = self._graph.stage_named(vote).meta["frontends"]
+            names = {fe.name for fe in self.frontends}
+            fit_counts = fit_counts[
+                [q for q, n in enumerate(members) if n in names]
+            ]
         return DBAResult(
-            subsystems=self._assemble_subsystems(
-                graph, results, fit_stages, score_names
-            ),
+            subsystems=subsystems,
             durations=self.durations,
             threshold=threshold,
             variant=variant,
@@ -1098,37 +933,74 @@ class PhonotacticSystem:
     # ------------------------------------------------------------------
     # evaluation conveniences
     # ------------------------------------------------------------------
+    def _fuse(
+        self,
+        prefix: str,
+        subs: list[SubsystemScores],
+        duration: float,
+        meta: dict[str, Any],
+        weigh: list[SystemResult] | None = None,
+        **params,
+    ) -> np.ndarray:
+        """Declare (once) and read the ``fuse`` node ``<prefix>/test@<d>``.
+
+        Its dependencies are the dev and test score nodes of ``subs``;
+        the LDA-MMI backend is fitted once per ``prefix``, which names
+        the member model ids, under the Eq. 20 weights of ``weigh``'s
+        fit counts (unweighted without).  ``meta`` and ``params`` make
+        the store key; a tainted member (``meta``'s frontend, else any)
+        keeps the product out of the store.
+        """
+        tag = f"test@{duration}"
+        name = f"{prefix}/{tag}"
+        if name not in self._graph:
+            devs = [s.nodes[1] for s in subs]
+            tests = [s.nodes[2][duration] for s in subs]
+
+            def fuse(deps) -> np.ndarray:
+                weights = (
+                    None
+                    if weigh is None
+                    else subsystem_weights(_fit_counts(weigh))
+                )
+                fusion = self._fitted_fusion(
+                    prefix, [deps[n] for n in devs], weights
+                )
+                return fusion.transform([deps[n] for n in tests])
+
+            tainted = self._tainted_frontends()
+            if "frontend" in meta:
+                tainted &= {meta["frontend"]}
+            self._graph.stage(
+                name,
+                fuse,
+                deps=(*devs, *tests),
+                key=None if tainted else self._stage_key(
+                    "fuse", corpus=tag, **meta, **params
+                ),
+                kind="array",
+                meta=meta,
+            )
+        return self._graph.value(name)
+
     def frontend_metrics(
         self, result: SystemResult, duration: float
     ) -> dict[str, tuple[float, float]]:
         """Per-frontend calibrated (EER %, C_avg %) — Tables 2–4 cells."""
         test_labels = self.labels_for(f"test@{duration}")
-        out: dict[str, tuple[float, float]] = {}
-        tainted = self._tainted_frontends()
-        for sub in result.subsystems:
-            calibrated = run_stage(
-                lambda sub=sub: self._fitted_fusion(
-                    (result.model_id, sub.name), [sub.dev]
-                ).transform([sub.test[duration]]),
-                family="fuse",
-                store=self.store,
-                key=(
-                    None
-                    if sub.name in tainted
-                    else self._stage_key(
-                        "fuse",
-                        frontend=sub.name,
-                        corpus=f"test@{duration}",
-                        members=[result.model_id],
-                    )
+        model = result.model_id
+        return {
+            sub.name: evaluate_scores(
+                self._fuse(
+                    f"fuse/{model}/{sub.name}",
+                    [sub],
+                    duration,
+                    {"members": [model], "frontend": sub.name},
                 ),
-                kind="array",
-                meta={"members": [result.model_id], "frontend": sub.name},
-                retry=self.retry,
-                claims=self.claims,
+                test_labels,
             )
-            out[sub.name] = evaluate_scores(calibrated, test_labels)
-        return out
+            for sub in result.subsystems
+        }
 
     def fused_metrics(
         self, results: list[SystemResult], duration: float
@@ -1152,47 +1024,35 @@ class PhonotacticSystem:
         """
         dev_list = [dev for r in results for dev in r.dev_scores]
         return self._fitted_fusion(
-            ("fused", *(r.model_id for r in results)),
+            "fuse/" + "+".join(r.model_id for r in results),
             dev_list,
             subsystem_weights(_fit_counts(results)),
         )
 
     def _fitted_fusion(
         self,
-        key: tuple,
+        key: str,
         dev_list: list[np.ndarray],
         weights: np.ndarray | None = None,
     ) -> LdaMmiFusion:
         """The LDA-MMI backend fitted on ``dev_list``, once per ``key``.
 
-        The fit reads dev scores only, so every test duration of one
-        subsystem (or fused member set) transforms through one fit.  A
-        kept fit answers only for the very same dev arrays and weights;
-        anything else refits and replaces it.
+        ``key`` names the member model ids, which fix the dev scores;
+        the memo keys the weights alongside, since a caller may hand
+        other fit counts under the same ids.  The fit reads dev scores
+        only, so every test duration of one subsystem (or fused member
+        set) transforms through one fit.
         """
-        with self._cache_lock:
-            kept = self._fusions.get(key)
-        if kept is not None:
-            kept_devs, kept_weights, fusion = kept
-            same_weights = (
-                np.array_equal(kept_weights, weights)
-                if kept_weights is not None and weights is not None
-                else kept_weights is weights
+        memo = key if weights is None else (key, weights.tobytes())
+        fusion = self._fusions.get(memo)
+        if fusion is None:
+            fusion = LdaMmiFusion(
+                use_lda=self.system.use_lda,
+                mmi_iterations=self.system.mmi_iterations,
             )
-            if (
-                same_weights
-                and len(kept_devs) == len(dev_list)
-                and all(a is b for a, b in zip(kept_devs, dev_list))
-            ):
-                return fusion
-        fusion = LdaMmiFusion(
-            use_lda=self.system.use_lda,
-            mmi_iterations=self.system.mmi_iterations,
-        )
-        with trace.span("fusion", subsystems=len(dev_list)):
-            fusion.fit(dev_list, self.labels_for("dev"), weights=weights)
-        with self._cache_lock:
-            self._fusions[key] = (list(dev_list), weights, fusion)
+            with trace.span("fusion", subsystems=len(dev_list)):
+                fusion.fit(dev_list, self.labels_for("dev"), weights=weights)
+            self._fusions[memo] = fusion
         return fusion
 
     def fused_scores(
@@ -1207,41 +1067,22 @@ class PhonotacticSystem:
         fallback the serving engine uses with breakers open:
         :func:`~repro.backend.fusion.linear_fusion` (Eq. 20) under the
         surviving subsystems' DBA fit counts, renormalized over them —
-        and the result never persists to the store.
+        computed from ``results`` as given, and never persisted.
         """
-
-        def test_list() -> list[np.ndarray]:
-            return [s for r in results for s in r.test_scores(duration)]
-
+        members = [r.model_id for r in results]
         if self.degraded:
-            with trace.span(
-                "fuse",
-                degraded=True,
-                members=[r.model_id for r in results],
-            ):
-                return linear_fusion(test_list(), _fit_counts(results))
-
-        def compute() -> np.ndarray:
-            return self.fit_fusion(results).transform(test_list())
-
-        return run_stage(
-            compute,
-            family="fuse",
-            store=self.store,
-            key=(
-                None
-                if self._tainted_frontends()
-                else self._stage_key(
-                    "fuse",
-                    corpus=f"test@{duration}",
-                    members=[r.model_id for r in results],
-                    frontends=[fe.name for fe in self.frontends],
+            with trace.span("fuse", degraded=True, members=members):
+                return linear_fusion(
+                    [s for r in results for s in r.test_scores(duration)],
+                    _fit_counts(results),
                 )
-            ),
-            kind="array",
-            meta={"members": [r.model_id for r in results]},
-            retry=self.retry,
-            claims=self.claims,
+        return self._fuse(
+            "fuse/" + "+".join(members),
+            [s for r in results for s in r.subsystems],
+            duration,
+            {"members": members},
+            results,
+            frontends=[fe.name for fe in self.frontends],
         )
 
 

@@ -28,17 +28,25 @@ read — its ``store.get`` child — and the decode; a miss opens no cached
 span, and the put after an executed stage runs under ``store.put``.
 
 :func:`run_stage` is the single-stage primitive (span + counters + store
-round-trip); the graph runner and direct callers such as
-:meth:`repro.core.pipeline.PhonotacticSystem.raw_matrix` both use it, so
-cache accounting is identical whichever path executed a stage.
+round-trip); the graph runner uses it for every stage it executes, and
+stages that run before any graph exists (the pipeline's ``world``) call
+it directly, so cache accounting is identical whichever path executed a
+stage.
+
+A graph keeps every value it resolves.  Later runs treat a resolved
+stage as satisfied, like a store hit, and :meth:`StageGraph.value`
+reads one stage from the memo, else from the store, else by running
+its missing dependencies.  A graph can therefore be declared once and
+grown node by node as a campaign first needs each product, as
+:class:`repro.core.pipeline.PhonotacticSystem` does.
 
 Fault tolerance
 ---------------
 Both entry points accept a :class:`repro.faults.RetryPolicy`:
 :func:`run_stage` retries the compute function *and* the store
 round-trip under it (attempt counts land on the stage's span as a
-``retries`` counter and in ``exec.retry.attempts``), and
-:meth:`StageGraph.run` passes its policy to every stage it executes.
+``retries`` counter and in ``exec.retry.attempts``), and a
+:class:`StageGraph` passes its policy to every stage it executes.
 The graph runner can additionally collect failures instead of raising:
 with ``failures=<dict>``, a stage whose compute exhausts its retries is
 recorded there, its transitive dependents are skipped with
@@ -274,10 +282,6 @@ class Stage:
     family:
         Metric/span family; defaults to the first ``/`` segment of
         ``name``.
-    instrument:
-        ``False`` for thin delegation stages whose compute function does
-        its own :func:`run_stage` accounting (e.g. ``raw_matrix``) —
-        avoids double-counting one logical stage.
     """
 
     name: str
@@ -289,7 +293,6 @@ class Stage:
     decode: Callable[[Any], Any] | None = None
     meta: dict[str, Any] | None = None
     family: str = ""
-    instrument: bool = True
 
     def __post_init__(self) -> None:
         self.deps = tuple(self.deps)
@@ -298,10 +301,31 @@ class Stage:
 
 
 class StageGraph:
-    """A DAG of :class:`Stage` nodes with demand-driven memoized runs."""
+    """A DAG of :class:`Stage` nodes with demand-driven memoized runs.
 
-    def __init__(self) -> None:
+    ``store``, ``workers``, ``retry`` and ``claims`` are the graph's run
+    settings (see :meth:`run`).  Every value a run resolves is kept, so
+    no stage executes or loads twice in one graph.  ``declare``, when
+    given, may declare a dependency a plan needs that nobody declared.
+    """
+
+    def __init__(
+        self,
+        store: ArtifactStore | None = None,
+        *,
+        workers: int | None = 1,
+        retry: RetryPolicy | None = None,
+        claims: Any | None = None,
+        declare: Callable[[str], None] | None = None,
+    ) -> None:
         self._stages: dict[str, Stage] = {}
+        self._values: dict[str, Any] = {}
+        self._lock = threading.Lock()
+        self.store = store
+        self.workers = workers
+        self.retry = retry
+        self.claims = claims
+        self.declare = declare
 
     def add(self, stage: Stage) -> Stage:
         """Register a stage; names must be unique."""
@@ -328,6 +352,35 @@ class StageGraph:
         """The declared :class:`Stage` (raises ``KeyError``)."""
         return self._stages[name]
 
+    def value(self, name: str) -> Any:
+        """The value of stage ``name``: kept, else stored, else computed
+        by a run of it and whatever it needs that is missing."""
+        with self._lock:
+            if name in self._values:
+                return self._values[name]
+        stage, store = self._stages[name], self.store
+        if store is not None and stage.key is not None and store.has(stage.key):
+            return self._resolve(stage, {}, store)  # a one-stage run
+        return self.run([name])[name]
+
+    def _resolve(self, stage: Stage, deps: dict, store) -> Any:
+        """Load or execute one stage through :func:`run_stage`; keep it."""
+        value = run_stage(
+            lambda: stage.compute(deps),
+            family=stage.family,
+            store=store,
+            key=stage.key,
+            kind=stage.kind,
+            encode=stage.encode,
+            decode=stage.decode,
+            meta=stage.meta,
+            retry=self.retry,
+            claims=self.claims,
+        )
+        with self._lock:
+            self._values[stage.name] = value
+        return value
+
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
@@ -336,11 +389,12 @@ class StageGraph:
     ) -> tuple[list[str], dict[str, set[str]]]:
         """The needed sub-DAG: execution order seeds + live dep edges.
 
-        A stage already satisfied by the store keeps its node (it still
-        must be *loaded*) but contributes no dependency edges, pruning
-        everything upstream that no other live stage needs.
+        A stage already resolved, or satisfied by the store, keeps its
+        node (it still must be read) but contributes no dependency
+        edges, pruning everything upstream that no other live stage
+        needs.
         """
-        needed: dict[str, bool] = {}  # name -> satisfied-by-store
+        needed: dict[str, bool] = {}  # name -> satisfied
         visiting: set[str] = set()
 
         def visit(name: str) -> None:
@@ -348,11 +402,13 @@ class StageGraph:
                 return
             if name in visiting:
                 raise ValueError(f"stage dependency cycle through {name!r}")
+            if name not in self._stages and self.declare is not None:
+                self.declare(name)
             stage = self._stages.get(name)
             if stage is None:
                 raise KeyError(f"unknown stage {name!r}")
             visiting.add(name)
-            satisfied = (
+            satisfied = name in self._values or (
                 store is not None
                 and stage.key is not None
                 and store.has(stage.key)
@@ -363,8 +419,9 @@ class StageGraph:
             visiting.discard(name)
             needed[name] = satisfied
 
-        for target in targets:
-            visit(target)
+        with self._lock:
+            for target in targets:
+                visit(target)
         live_deps = {
             name: (set() if satisfied else set(self._stages[name].deps))
             for name, satisfied in needed.items()
@@ -379,20 +436,20 @@ class StageGraph:
         targets: list[str] | None = None,
         *,
         store: ArtifactStore | None = None,
-        workers: int | None = 1,
-        retry: RetryPolicy | None = None,
+        workers: int | None = None,
         failures: dict[str, BaseException] | None = None,
-        claims: Any | None = None,
     ) -> dict[str, Any]:
         """Resolve ``targets`` (default: every stage); returns all values.
 
-        ``workers`` follows :func:`~repro.utils.parallel.effective_workers`
-        semantics: ``1`` (default) executes serially in dependency
-        order, ``None``/``0`` auto-sizes a thread pool.  Stages are
-        pure functions of their declared inputs, so concurrent waves
-        produce the same values as the serial order.
+        ``store`` and ``workers`` default to the graph's own.  ``workers``
+        follows :func:`~repro.utils.parallel.effective_workers`
+        semantics: ``1`` executes serially in dependency order, ``0``
+        auto-sizes a thread pool.  Stages are pure functions of their declared inputs, so
+        concurrent waves produce the same values as the serial order.
+        A stage an earlier run resolved is neither loaded nor executed
+        again: its kept value is returned.
 
-        ``retry`` is applied to every executed stage (see
+        The graph's ``retry`` is applied to every executed stage (see
         :func:`run_stage`).  With ``failures=None`` (default) the first
         stage error — after its retries — propagates.  With a dict, the
         run *collects*: the failing stage's exception is recorded under
@@ -401,52 +458,41 @@ class StageGraph:
         stages still execute; the returned dict then holds only the
         stages that succeeded.
 
-        ``claims`` is handed to every instrumented, store-keyed stage
-        (see :func:`run_stage`), partitioning the run's frontier across
-        the worker processes sharing the store and lease board.
+        The graph's ``claims`` go to every store-keyed stage (see
+        :func:`run_stage`), partitioning the run's frontier across the
+        worker processes sharing the store and lease board.
         """
+        store = self.store if store is None else store
+        workers = self.workers if workers is None else workers
         targets = list(targets) if targets is not None else self.names()
         order, live_deps = self._plan(targets, store)
+        with self._lock:
+            values = {n: self._values[n] for n in order if n in self._values}
+        order = [name for name in order if name not in values]
         n_workers = effective_workers(workers) if workers != 1 else 1
         n_workers = min(n_workers, max(1, len(order)))
         _GRAPH_RUNS.inc()
         _GRAPH_WORKERS.set(n_workers)
 
-        values: dict[str, Any] = {}
         values_lock = threading.Lock()
         failed: set[str] = set()
         parent = trace.current_span()
 
         def execute(name: str) -> Any:
-            stage = self._stages[name]
             # Only the *live* deps have values: a store-satisfied stage
             # had its edges pruned and loads without touching them.
             with values_lock:
                 deps = {dep: values[dep] for dep in live_deps[name]}
-
-            def compute() -> Any:
-                return stage.compute(deps)
-
-            if not stage.instrument:
-                return compute()
-            return run_stage(
-                compute,
-                family=stage.family,
-                store=store,
-                key=stage.key,
-                kind=stage.kind,
-                encode=stage.encode,
-                decode=stage.decode,
-                meta=stage.meta,
-                retry=retry,
-                claims=claims,
-            )
+            return self._resolve(self._stages[name], deps, store)
 
         def poisoned_deps(name: str) -> list[str]:
             return sorted(d for d in live_deps[name] if d in failed)
 
+        # Kept values are settled before the run starts.
+        remaining = {
+            name: live_deps[name] - values.keys() for name in order
+        }
         if n_workers <= 1:
-            remaining = {name: set(deps) for name, deps in live_deps.items()}
             pending = list(order)
             while pending:
                 # Failed deps count as settled for scheduling, so the
@@ -477,10 +523,9 @@ class StageGraph:
         # Wave scheduling (Kahn's algorithm) over a thread pool: stages
         # are submitted as soon as their live dependencies resolve, so a
         # slow frontend never blocks an independent one.
-        remaining = {name: set(deps) for name, deps in live_deps.items()}
         dependents: dict[str, list[str]] = {name: [] for name in order}
-        for name, deps in live_deps.items():
-            for dep in deps:
+        for name in order:
+            for dep in remaining[name]:
                 dependents[dep].append(name)
 
         def worker(name: str) -> Any:

@@ -798,22 +798,6 @@ class ArtifactStore:
         _STORE_HITS.inc()
         return value
 
-    def get_or_compute(
-        self,
-        key: str,
-        kind: str,
-        compute: Callable[[], Any],
-        *,
-        meta: dict[str, Any] | None = None,
-    ) -> Any:
-        """Load if present, else compute, persist and return."""
-        try:
-            return self.get(key)
-        except KeyError:
-            value = compute()
-            self.put(key, kind, value, meta=meta)
-            return value
-
     def delete(self, key: str) -> bool:
         """Remove ``key`` and its payload file; returns whether it existed.
 

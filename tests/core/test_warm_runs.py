@@ -142,24 +142,19 @@ class TestFusionFitsOnce:
         # baseline and DBA-M2 singles plus two fused rows.
         assert len(count_fits) == 2 * n_frontends + 2 == 14
 
-        # Refitting for every test duration (28 fits) gives the same bytes.
+        # A second Table 4 on this system reads its memo: no fit.
         count_fits.clear()
+        assert _table4_text(system, baseline, m1, m2) == kept
+        assert count_fits == []
+
+        # Refitting for every test duration (28 fits), on a second
+        # system, gives the same bytes.
+        system = build_system(_config())
         system._fusions = _KeepNothing()
+        baseline = system.baseline()
+        m1 = system.dba(THRESHOLD, "M1", baseline)
+        m2 = system.dba(THRESHOLD, "M2", baseline)
+        count_fits.clear()
         refit = _table4_text(system, baseline, m1, m2)
         assert len(count_fits) == 28
         assert refit == kept
-
-    def test_other_dev_arrays_refit(self, count_fits):
-        system = build_system(_config())
-        baseline = system.baseline()
-        duration = system.durations[0]
-        system.fused_scores([baseline], duration)
-        count_fits.clear()
-        moved = replace(
-            baseline,
-            subsystems=[
-                replace(sub, dev=sub.dev + 1.0) for sub in baseline.subsystems
-            ],
-        )
-        system.fused_scores([moved], duration)
-        assert len(count_fits) == 1

@@ -445,18 +445,6 @@ class TestAccounting:
         store.get("0" * 64)
         assert hits.value == 1
 
-    def test_get_or_compute(self, store):
-        calls: list[int] = []
-
-        def compute():
-            calls.append(1)
-            return {"n": 7}
-
-        first = store.get_or_compute("9" * 64, "json", compute)
-        second = store.get_or_compute("9" * 64, "json", compute)
-        assert first == second == {"n": 7}
-        assert len(calls) == 1
-
 
 class TestHygiene:
     def test_orphan_temps_swept_on_open(self, tmp_path):

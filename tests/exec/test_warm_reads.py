@@ -35,9 +35,9 @@ CONFIG = replace(
 )
 THRESHOLD = 3
 #: Store reads of a warm build and one warm Table 4 over 6 frontends and
-#: 2 durations: 1 world (languages and recognizers), 2 vote selections
+#: 2 durations: 1 world (languages and recognizers), 1 vote selection
 #: and 28 fused score vectors.
-WARM_HITS = 31
+WARM_HITS = 30
 
 
 def _table4(system):
@@ -191,7 +191,7 @@ class TestScoresLoadOnFirstRead:
         assert _count("exec.stage.score.cached") == 0
         assert _count("exec.stage.score.executed") == 0
         assert _count("exec.stage.fuse.cached") == 28
-        assert _count("exec.stage.vote.cached") == 2
+        assert _count("exec.stage.vote.cached") == 1
 
     def test_first_read_loads_the_cold_scores_once(self, cold):
         system, results, _ = _warm(cold.store)
