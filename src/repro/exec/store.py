@@ -177,6 +177,12 @@ _TMP_PREFIX = ".tmp-"
 _break_hook: Callable[[], None] | None = None
 
 
+#: The canonical JSON form of :func:`stage_key` material, built once:
+#: ``json.dumps(..., sort_keys=True, default=list)`` makes a new encoder
+#: per call, and this one writes the same bytes.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=list)
+
+
 class StoreError(RuntimeError):
     """The store or one of its payloads cannot be used safely."""
 
@@ -201,16 +207,14 @@ def stage_key(
     fingerprint), the frontend battery, the corpus split or the stage's
     own parameters produces a different key and therefore a store miss.
     """
-    payload = json.dumps(
+    payload = _KEY_ENCODER.encode(
         {
             "stage": str(stage),
             "fingerprint": str(fingerprint),
             "frontend": frontend,
             "corpus": corpus,
             "params": params or {},
-        },
-        sort_keys=True,
-        default=list,
+        }
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 

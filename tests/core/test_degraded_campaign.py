@@ -251,3 +251,49 @@ class TestDegrade:
     def test_invalid_on_error_rejected(self, tiny_bundle, tiny_frontends):
         with pytest.raises(ValueError, match="on_error"):
             _make(tiny_bundle, tiny_frontends, on_error="explode")
+
+
+class TestDegradedStore:
+    def test_full_run_misses_a_degraded_battery_dba(
+        self, tiny_bundle, trio_frontends, monkeypatch, tmp_path
+    ):
+        """DBA keys name the vote's battery: the survivors' DBA products
+        a degraded run stored never answer for the full battery's."""
+        store = tmp_path / "store"
+        monkeypatch.setenv(ENV_VAR, "error:phi/FE_C:100000")
+        reset_ambient_plan()
+        faulted = _make(
+            tiny_bundle,
+            trio_frontends,
+            store=ArtifactStore(store),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            on_error="degrade",
+        )
+        degraded = faulted.dba(1, "M1")
+        durations = tiny_bundle.config.durations
+        for d in durations:
+            faulted.frontend_metrics(degraded, d)
+        monkeypatch.delenv(ENV_VAR)
+        reset_ambient_plan()
+
+        full_system = _make(
+            tiny_bundle, trio_frontends, store=ArtifactStore(store)
+        )
+        full = full_system.dba(1, "M1")
+        clean_system = _make(tiny_bundle, trio_frontends)
+        clean = clean_system.dba(1, "M1")
+        assert len(degraded.pseudo) != len(clean.pseudo)
+        assert degraded.names[0] == full.names[0] == "FE_A"
+        assert any(
+            degraded.subsystems[0].test[d].tobytes()
+            != clean.subsystems[0].test[d].tobytes()
+            for d in durations
+        )
+        for d in durations:
+            assert (
+                full.subsystems[0].test[d].tobytes()
+                == clean.subsystems[0].test[d].tobytes()
+            )
+            assert full_system.frontend_metrics(
+                full, d
+            ) == clean_system.frontend_metrics(clean, d)

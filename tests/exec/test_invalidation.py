@@ -116,7 +116,12 @@ class TestSvmKeys:
                 ("svm_train", dict(model="baseline", seed_offset=q)),
                 (
                     "dba_train",
-                    dict(threshold=2, variant="M1", seed_offset=100 + q),
+                    dict(
+                        threshold=2,
+                        variant="M1",
+                        seed_offset=100 + q,
+                        frontends=[f.name for f in system.frontends],
+                    ),
                 ),
             ):
                 def key(**extra):

@@ -72,6 +72,71 @@ class TestStageKey:
         b = stage_key("vote", fingerprint="f", params={"b": 2, "a": 1})
         assert a == b
 
+    @pytest.mark.parametrize(
+        ("stage", "material", "digest"),
+        [
+            (
+                "phi",
+                dict(fingerprint="f" * 64, frontend="FE_A", corpus="test@3.0"),
+                "47b5d56e248c41fa93ee443ecf1b6d1e"
+                "c20802de3b656134e0ae1ece28974527",
+            ),
+            (
+                "svm_train",
+                dict(
+                    fingerprint="f",
+                    frontend="FE_B",
+                    params={
+                        "model": "baseline",
+                        "seed_offset": 1,
+                        "svm_solver": 2,
+                    },
+                ),
+                "e20000462cf4429ca76d6a358644fea0"
+                "675b88254b5f0ac3ab813b06fbd496f3",
+            ),
+            (
+                "vote",
+                dict(
+                    fingerprint="f",
+                    params={"threshold": 3, "frontends": ("FE_A", "FE_B")},
+                ),
+                "521e6ce3e37ceabf43d420ebe1dc117b"
+                "6b7ee5e756bf9072f004bf40e9e04c7b",
+            ),
+            (
+                "fuse",
+                dict(
+                    fingerprint="f",
+                    frontend=None,
+                    corpus="test@10.0",
+                    params={
+                        "members": ["dba-M1-V3", "dba-M2-V3"],
+                        "frontends": ["FE_A"],
+                    },
+                ),
+                "4d81e8e37ce12420f8113427ca30420a"
+                "fe9343294c35c524eb90eb73336977d8",
+            ),
+            (
+                "score",
+                dict(
+                    fingerprint="f",
+                    frontend="FE_A",
+                    corpus="dev",
+                    params={"model": "dba-M1-V3", "tag": "φ", "scale": 0.5},
+                ),
+                "759fc47374aa9386103690feb61a16ab"
+                "6188f1c8882b32f845bb27e060861cc4",
+            ),
+        ],
+    )
+    def test_golden_digests(self, stage, material, digest):
+        """Key bytes are a store's addresses: these digests were written
+        by ``json.dumps(..., sort_keys=True, default=list)`` and must not
+        move (tuples encode as arrays, non-ASCII as escapes)."""
+        assert stage_key(stage, **material) == digest
+
 
 class TestRoundTrips:
     def test_sparse(self, store):
