@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,56 @@ class TestGraphMemoization:
         assert log == []  # the upstream stage never ran
         assert "up" not in values
         assert fresh_metrics.counter("exec.stage.down.cached").value == 1
+
+    def test_callable_key_is_resolved_only_when_probed(self, store):
+        store.put("b" * 64, "json", [1, 2])
+        probed: list[str] = []
+        graph = StageGraph(store)
+        for name, key, deps in (("up", "a", ()), ("down", "b", ("up",))):
+            graph.stage(
+                name,
+                lambda deps: [0],
+                deps=deps,
+                key=lambda name=name, key=key: (probed.append(name), key * 64)[1],
+                kind="json",
+            )
+        assert graph.value("down") == [1, 2]
+        assert probed == ["down"]  # the pruned dependency's key never ran
+        assert graph.stage_named("down").key == "b" * 64
+
+    def test_concurrent_first_reads_of_a_callable_key(self):
+        class SlowKey(Stage):
+            """Each read of ``key`` yields the GIL, widening any window
+            between two reads of it in one ``store_key`` call."""
+
+            @property
+            def key(self):
+                time.sleep(0.001)
+                return self._key
+
+            @key.setter
+            def key(self, value):
+                self._key = value
+
+        stage = SlowKey("s", lambda deps: None, key=lambda: "c" * 64)
+        barrier = threading.Barrier(8)
+        keys: list[str] = []
+        errors: list[BaseException] = []
+
+        def read() -> None:
+            barrier.wait()
+            try:
+                keys.append(stage.store_key)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert keys == ["c" * 64] * 8
 
     def test_graph_metrics(self, store, fresh_metrics):
         self._keyed_graph([]).run(store=store)
