@@ -89,22 +89,40 @@ class AcousticSpace:
 
         Deviation within each phone follows an AR(1) process so adjacent
         frames are correlated, as in real speech features; the session's
-        speaker/channel/noise transform is applied last.
+        speaker/channel/noise transform is applied last.  A batch of one
+        through :meth:`emit_batch`.
         """
-        rng = ensure_rng(rng)
-        means = self.frame_means(utterance)
-        stds = np.repeat(
-            self.phone_stds[utterance.phones], utterance.phone_frames, axis=0
-        )
-        t = means.shape[0]
-        innov_scale = np.sqrt(1.0 - self.ar_coeff**2)
-        innovations = rng.normal(0.0, 1.0, size=(t, self.feature_dim))
-        deviation = np.empty_like(innovations)
-        if t > 0:
-            deviation[0] = innovations[0]
-            for i in range(1, t):
-                deviation[i] = (
-                    self.ar_coeff * deviation[i - 1] + innov_scale * innovations[i]
-                )
-        frames = means + stds * deviation
-        return utterance.session.transform_frames(frames, rng)
+        return self.emit_batch([utterance], [rng])[0]
+
+    def emit_batch(
+        self,
+        utterances: list[Utterance],
+        rngs: list[np.random.Generator | int | None],
+    ) -> list[np.ndarray]:
+        """Render many utterances, each exactly as :meth:`emit` alone.
+
+        Every utterance draws its innovations and then its noise from its
+        own generator.  The AR(1) recurrence advances all of them one
+        frame index at a time over a padded ``(T_max, B, D)`` tensor, with
+        the elementwise operations of a one-utterance run, so each
+        rendering is bitwise independent of the batch.
+        """
+        if len(rngs) != len(utterances):
+            raise ValueError("rngs must match utterances in length")
+        rngs = [ensure_rng(rng) for rng in rngs]
+        lengths = [int(u.phone_frames.sum()) for u in utterances]
+        d = self.feature_dim
+        deviation = np.zeros((max(lengths, default=0), len(utterances), d))
+        for i, (rng, t) in enumerate(zip(rngs, lengths)):
+            deviation[:t, i] = rng.normal(0.0, 1.0, size=(t, d))
+        # deviation[0] is the first innovation; later frames add the
+        # scaled innovation to the damped previous deviation.
+        deviation[1:] *= np.sqrt(1.0 - self.ar_coeff**2)
+        for i in range(1, deviation.shape[0]):
+            deviation[i] += self.ar_coeff * deviation[i - 1]
+        out = []
+        for i, (utt, rng, t) in enumerate(zip(utterances, rngs, lengths)):
+            stds = np.repeat(self.phone_stds[utt.phones], utt.phone_frames, axis=0)
+            frames = self.frame_means(utt) + stds * deviation[:t, i]
+            out.append(utt.session.transform_frames(frames, rng))
+        return out

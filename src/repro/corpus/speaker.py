@@ -144,28 +144,38 @@ class SessionSampler:
         never sampled never draws them.  The draw is a pure function of
         the constructor arguments: two threads racing here build equal
         pools, and either one may win.
+
+        Each speaker reads ``D`` offset normals and then one rate normal
+        from the stream, and each channel ``D`` tilt normals and one gain
+        normal, so one ``(n, D + 1)`` standard-normal draw per pool reads
+        the stream in the same order.  ``Generator.normal(loc, scale)``
+        is ``loc + scale * z``, which the rows repeat bit for bit.
         """
         pool = self._pool
         if pool is None:
             rng = ensure_rng(self.seed)
             dim = self.feature_dim
+            z = rng.standard_normal((self.n_speakers, dim + 1))
+            offsets = 0.0 + self.speaker_scale * z[:, :dim]
+            rates = (1.0 + 0.12 * z[:, dim]).tolist()
             speakers = [
                 Speaker(
                     speaker_id=i,
-                    offset=rng.normal(0.0, self.speaker_scale, size=dim),
-                    rate=float(np.clip(rng.normal(1.0, 0.12), 0.6, 1.6)),
+                    offset=offsets[i],
+                    rate=min(max(rates[i], 0.6), 1.6),
                 )
                 for i in range(self.n_speakers)
             ]
-            n_channels = max(4, self.n_speakers // 10)
+            z = rng.standard_normal((max(4, self.n_speakers // 10), dim + 1))
+            tilts = (0.0 + self.channel_scale * z[:, :dim]) * np.linspace(
+                1.0, 0.3, dim
+            )
+            gains = (1.0 + 0.08 * z[:, dim]).tolist()
             channels = [
                 Channel(
-                    channel_id=i,
-                    tilt=rng.normal(0.0, self.channel_scale, size=dim)
-                    * np.linspace(1.0, 0.3, dim),
-                    gain=float(np.clip(rng.normal(1.0, 0.08), 0.7, 1.4)),
+                    channel_id=i, tilt=tilts[i], gain=min(max(g, 0.7), 1.4)
                 )
-                for i in range(n_channels)
+                for i, g in enumerate(gains)
             ]
             pool = self._pool = (speakers, channels)
         return pool

@@ -173,7 +173,8 @@ class DiagonalGMM:
         weights = np.asarray(weights, dtype=np.float64)
         if variances.shape != means.shape or weights.shape != (means.shape[0],):
             raise ValueError("inconsistent parameter shapes")
-        if np.any(weights <= 0) or not np.isclose(weights.sum(), 1.0, atol=1e-6):
+        # |sum - 1| <= np.isclose's atol + rtol * 1.0; NaN and inf fail it.
+        if np.any(weights <= 0) or not abs(weights.sum() - 1.0) <= 1e-6 + 1e-5:
             raise ValueError("weights must be a positive distribution")
         gmm = cls(means.shape[0], var_floor=var_floor)
         gmm.means = means

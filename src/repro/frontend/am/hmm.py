@@ -50,19 +50,15 @@ def uniform_state_alignment(
     phone_frames = np.asarray(phone_frames, dtype=np.int64)
     if local_phones.shape != phone_frames.shape:
         raise ValueError("phones and frames must align")
-    labels = np.empty(int(phone_frames.sum()), dtype=np.int64)
-    pos = 0
-    for phone, length in zip(local_phones, phone_frames):
-        length = int(length)
-        # Proportional split: frame i of the segment belongs to state
-        # floor(i * S / L), which is monotone and uses all states when
-        # L >= S.
-        states = (
-            np.arange(length) * states_per_phone // max(length, 1)
-        ).clip(max=states_per_phone - 1)
-        labels[pos : pos + length] = phone * states_per_phone + states
-        pos += length
-    return labels
+    # Frame i of an L-frame segment belongs to state floor(i * S / L),
+    # which is monotone and uses all states when L >= S.
+    length = np.repeat(phone_frames, phone_frames)
+    start = np.repeat(np.cumsum(phone_frames) - phone_frames, phone_frames)
+    offset = np.arange(length.size, dtype=np.int64) - start
+    states = np.minimum(
+        offset * states_per_phone // length, states_per_phone - 1
+    )
+    return np.repeat(local_phones, phone_frames) * states_per_phone + states
 
 
 class EmissionModel(Protocol):
@@ -177,9 +173,15 @@ class GMMEmission:
         frames = np.atleast_2d(frames)
         global_mean = frames.mean(axis=0, keepdims=True)
         global_var = np.maximum(frames.var(axis=0, keepdims=True), 1e-3)
+        # One stable sort splits the frames by state, each in frame order.
+        state_labels = np.asarray(state_labels)
+        order = np.argsort(state_labels, kind="stable")
+        bounds = np.searchsorted(
+            state_labels[order], np.arange(n_states + 1)
+        ).tolist()
         gmms: list[DiagonalGMM] = []
         for s in range(n_states):
-            sel = frames[state_labels == s]
+            sel = frames[order[bounds[s] : bounds[s + 1]]]
             if sel.shape[0] >= 2 * n_components:
                 gmm = DiagonalGMM(n_components).fit(
                     sel, n_iter=n_iter, rng=child_rng(seed, f"state/{s}")

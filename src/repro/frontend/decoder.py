@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.corpus.phoneset import PhoneSet
 from repro.frontend.am.hmm import PhoneHMMSet
-from repro.frontend.lattice import Sausage, SausageSlot
+from repro.frontend.lattice import Sausage
 from repro.obs import trace
 from repro.obs.metrics import default_registry
 from repro.utils.validation import check_in, check_positive
@@ -484,50 +484,82 @@ class ViterbiDecoder:
             phone_post = posteriors.reshape(
                 b, t_max, self.hmms.n_phones, s
             ).sum(axis=3)
-            sausages: list[Sausage] = []
-            for i in range(b):
-                t_i = int(lengths[i])
-                if t_i == 0:
-                    sausages.append(Sausage([], self.phone_set))
-                    continue
-                phone_path = paths[i] // s
-                slots = self._segment_slots(
-                    phone_path, crosseds[i], phone_post[i, :t_i]
-                )
-                sausages.append(Sausage(slots, self.phone_set))
-        return sausages
+            return self._sausages(paths, crosseds, phone_post, lengths)
 
-    def _segment_slots(
+    def _sausages(
         self,
-        phone_path: np.ndarray,
-        crossed: np.ndarray,
+        paths: list[np.ndarray],
+        crosseds: list[np.ndarray],
         phone_post: np.ndarray,
-    ) -> list[SausageSlot]:
-        """Split the frame-level path at phone-instance boundaries."""
-        cfg = self.config
-        # A segment starts where the phone changes or a cross arc fired.
-        boundary = np.zeros(phone_path.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (phone_path[1:] != phone_path[:-1]) | crossed[1:]
+        lengths: np.ndarray,
+    ) -> list[Sausage]:
+        """One slot per Viterbi phone segment, the whole batch in one pass.
+
+        A segment starts where the phone changes or a cross arc fired.
+        Its posterior is the mean of its frames' phone posteriors, summed
+        in frame order as ``np.mean`` sums them (``np.add.reduceat``
+        groups its sums differently).  A slot keeps the ``top_k`` most
+        probable phones with positive mass, plus the Viterbi phone (in
+        place of the last one if the slot is full).  Its probabilities
+        are renormalised (uniform if the kept mass is zero, e.g. a
+        forced-in winner whose posterior underflowed) and sorted by
+        phone.  Every slot's arithmetic is that of the slot alone, and
+        each sausage pads to its own widest slot.
+        """
+        s = self.hmms.states_per_phone
+        n_phones = self.hmms.n_phones
+        top_k = self.config.top_k
+        live = lengths[:, None] > np.arange(phone_post.shape[1])
+        phone_path = np.concatenate(paths) // s
+        boundary = np.concatenate(crosseds)
+        boundary[1:] |= phone_path[1:] != phone_path[:-1]
+        row_start = np.cumsum(lengths) - lengths
+        boundary[row_start[lengths > 0]] = True
         starts = np.flatnonzero(boundary)
-        ends = np.append(starts[1:], phone_path.size)
-        slots = []
-        for a, b in zip(starts, ends):
-            seg_post = phone_post[a:b].mean(axis=0)
-            top = np.argsort(seg_post)[::-1][: cfg.top_k]
-            top = top[seg_post[top] > 0]
-            winner = phone_path[a]
-            if winner not in top:
-                top = np.append(top[:-1] if top.size >= cfg.top_k else top, winner)
-            probs = seg_post[top].astype(np.float64)
-            total = probs.sum()
-            if total > 0.0:
-                probs = probs / total
-            else:
-                # All kept mass can be zero (a forced-in winner whose
-                # posterior underflowed, e.g. under tight beams or
-                # float32); fall back to uniform instead of 0/0 → NaN.
-                probs = np.full(top.size, 1.0 / top.size)
-            order = np.argsort(top)
-            slots.append(SausageSlot(top[order], probs[order]))
-        return slots
+        frames_per_seg = np.diff(np.append(starts, phone_path.size))
+        seg_post = np.zeros((starts.size, n_phones), dtype=phone_post.dtype)
+        np.add.at(seg_post, np.cumsum(boundary) - 1, phone_post[live])
+        np.true_divide(
+            seg_post, frames_per_seg[:, None], out=seg_post, casting="unsafe"
+        )
+
+        rows = np.arange(starts.size)[:, None]
+        ranked = np.argsort(seg_post, axis=1)[:, ::-1][:, :top_k]
+        kept = seg_post[rows, ranked] > 0
+        n_kept = kept.sum(axis=1)
+        winner = phone_path[starts]
+        forced = ~np.any((ranked == winner[:, None]) & kept, axis=1)
+        top = np.full((starts.size, ranked.shape[1] + 1), -1, dtype=np.int64)
+        r, c = np.nonzero(kept)
+        top[r, np.cumsum(kept, axis=1)[r, c] - 1] = ranked[r, c]
+        top[forced, np.minimum(n_kept, top_k - 1)[forced]] = winner[forced]
+        width = np.where(forced & (n_kept < top_k), n_kept + 1, n_kept)
+
+        valid = top >= 0
+        probs = np.where(valid, seg_post[rows, top], 0.0).astype(np.float64)
+        # A sum's grouping depends on its length, so each width sums alone.
+        total = np.empty(starts.size)
+        for w in np.unique(width).tolist():
+            sel = np.flatnonzero(width == w)
+            total[sel] = probs[sel, :w].sum(axis=1)
+        mass = total > 0.0
+        probs[mass] /= total[mass, None]
+        probs[~mass] = np.where(valid[~mass], 1.0 / width[~mass, None], 0.0)
+        order = np.argsort(np.where(valid, top, n_phones), axis=1)
+        phones = np.take_along_axis(top, order, axis=1)
+        probs = np.take_along_axis(probs, order, axis=1)
+        Sausage._validate_slot_arrays(phones, probs, self.phone_set)
+
+        first = np.searchsorted(starts, row_start).tolist()
+        last = first[1:] + [starts.size]
+        sausages = []
+        for lo, hi in zip(first, last):
+            k = int(width[lo:hi].max(initial=0))
+            sausages.append(
+                Sausage._from_validated_arrays(
+                    np.ascontiguousarray(phones[lo:hi, :k]),
+                    np.ascontiguousarray(probs[lo:hi, :k]),
+                    self.phone_set,
+                )
+            )
+        return sausages

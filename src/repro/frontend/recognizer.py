@@ -124,7 +124,7 @@ class AcousticPhoneRecognizer:
         """Map an utterance's universal phone ids to recognizer-local ids."""
         try:
             return np.array(
-                [self._local_index[int(p)] for p in utterance.phones],
+                [self._local_index[p] for p in utterance.phones.tolist()],
                 dtype=np.int64,
             )
         except KeyError as exc:
@@ -143,29 +143,29 @@ class AcousticPhoneRecognizer:
         seed = self.seed if seed is None else seed
         n_phones = len(self.phone_set)
         n_states = n_phones * self.states_per_phone
-        all_frames: list[np.ndarray] = []
-        all_labels: list[np.ndarray] = []
-        sequences: list[np.ndarray] = []
-        for i, utt in enumerate(corpus):
+        utterances = list(corpus)
+        for utt in utterances:
             if utt.language != self.training_language.name:
                 raise ValueError(
                     f"recognizer {self.name!r} trains on "
                     f"{self.training_language.name!r}, got {utt.language!r}"
                 )
-            frames = self.features(
-                self.acoustics.emit(
-                    utt, child_rng(seed, f"emit/{self.name}/{i}")
-                )
-            )
-            local = self.local_phones(utt)
-            labels = uniform_state_alignment(
-                local, utt.phone_frames, self.states_per_phone
-            )
-            all_frames.append(frames)
-            all_labels.append(labels)
-            sequences.append(local)
+        rendered = self.acoustics.emit_batch(
+            utterances,
+            [
+                child_rng(seed, f"emit/{self.name}/{i}")
+                for i in range(len(utterances))
+            ],
+        )
+        all_frames = [self.features(frames) for frames in rendered]
+        sequences = [self.local_phones(utt) for utt in utterances]
         x = np.vstack(all_frames)
-        y = np.concatenate(all_labels)
+        # Segments align independently, so one call labels the whole corpus.
+        y = uniform_state_alignment(
+            np.concatenate(sequences),
+            np.concatenate([utt.phone_frames for utt in utterances]),
+            self.states_per_phone,
+        )
         if self.am_family == "gmm":
             emission = GMMEmission.train(
                 x,
@@ -253,12 +253,12 @@ class AcousticPhoneRecognizer:
     ) -> list[Sausage]:
         """Decode many utterances through one batched lattice DP.
 
-        Acoustic rendering stays per-utterance with exactly the RNG
-        stream :meth:`decode` would use (``child_rng(seed,
-        "decode/<utt_id>")`` when ``rngs`` is not given), and a row's DP
-        arithmetic does not depend on the batch, so the sausages are
-        bitwise identical to looping :meth:`decode`; in float64 they lie
-        within 1e-12 of the log-domain reference DP.
+        One :meth:`AcousticSpace.emit_batch` call renders every
+        utterance from exactly the RNG stream :meth:`decode` would use
+        (``child_rng(seed, "decode/<utt_id>")`` when ``rngs`` is not
+        given), and a row's DP arithmetic does not depend on the batch,
+        so the sausages are bitwise identical to looping :meth:`decode`;
+        in float64 they lie within 1e-12 of the log-domain reference DP.
         """
         if self._decoder is None:
             raise RuntimeError(f"recognizer {self.name!r} is not trained")
@@ -267,10 +267,7 @@ class AcousticPhoneRecognizer:
                 child_rng(self.seed, f"decode/{utt.utt_id}")
                 for utt in utterances
             ]
-        if len(rngs) != len(utterances):
-            raise ValueError("rngs must match utterances in length")
         frames = [
-            self.features(self.acoustics.emit(utt, ensure_rng(rng)))
-            for utt, rng in zip(utterances, rngs)
+            self.features(f) for f in self.acoustics.emit_batch(utterances, rngs)
         ]
         return self._decoder.decode_batch(frames)

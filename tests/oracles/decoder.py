@@ -2,13 +2,16 @@
 
 One utterance at a time, one frame step at a time: the Viterbi and
 structured forward–backward recursions as the decoder first implemented
-them.  :class:`ScalarDecoder` wraps a
+them, and the slot segmentation one Viterbi segment at a time.
+:class:`ScalarDecoder` wraps a
 :class:`~repro.frontend.decoder.ViterbiDecoder` and reuses its emission
-scaling and slot segmentation, so a comparison isolates the DP.  In
-float64, ``ViterbiDecoder`` must reproduce its Viterbi paths byte for
-byte, and its posteriors and slot probabilities within 1e-12: the
-decoder sums cross-phone arcs as a product with ``exp(cross)``, this
-reference as a log-sum-exp.
+scaling.  In float64, ``ViterbiDecoder`` must reproduce its Viterbi
+paths byte for byte, and its posteriors and slot probabilities within
+1e-12: the decoder sums cross-phone arcs as a product with
+``exp(cross)``, this reference as a log-sum-exp.  Given the same paths
+and phone posteriors, the decoder's batched segmentation must
+reproduce :meth:`ScalarDecoder._segment_slots` byte for byte, in either
+DP dtype.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.frontend.decoder import ViterbiDecoder
-from repro.frontend.lattice import Sausage
+from repro.frontend.lattice import Sausage, SausageSlot
 
 __all__ = ["ScalarDecoder"]
 
@@ -29,7 +32,6 @@ class ScalarDecoder:
         self.phone_set = decoder.phone_set
         self.config = decoder.config
         self._scaled_loglik = decoder._scaled_loglik
-        self._segment_slots = decoder._segment_slots
 
     def viterbi(
         self, log_likelihood: np.ndarray
@@ -201,3 +203,38 @@ class ScalarDecoder:
         phone_path = path // s
         slots = self._segment_slots(phone_path, crossed, phone_post)
         return Sausage(slots, self.phone_set)
+
+    def _segment_slots(
+        self,
+        phone_path: np.ndarray,
+        crossed: np.ndarray,
+        phone_post: np.ndarray,
+    ) -> list[SausageSlot]:
+        """Split the frame-level path at phone-instance boundaries."""
+        cfg = self.config
+        # A segment starts where the phone changes or a cross arc fired.
+        boundary = np.zeros(phone_path.size, dtype=bool)
+        boundary[0] = True
+        boundary[1:] = (phone_path[1:] != phone_path[:-1]) | crossed[1:]
+        starts = np.flatnonzero(boundary)
+        ends = np.append(starts[1:], phone_path.size)
+        slots = []
+        for a, b in zip(starts, ends):
+            seg_post = phone_post[a:b].mean(axis=0)
+            top = np.argsort(seg_post)[::-1][: cfg.top_k]
+            top = top[seg_post[top] > 0]
+            winner = phone_path[a]
+            if winner not in top:
+                top = np.append(top[:-1] if top.size >= cfg.top_k else top, winner)
+            probs = seg_post[top].astype(np.float64)
+            total = probs.sum()
+            if total > 0.0:
+                probs = probs / total
+            else:
+                # All kept mass can be zero (a forced-in winner whose
+                # posterior underflowed, e.g. under tight beams or
+                # float32); fall back to uniform instead of 0/0 → NaN.
+                probs = np.full(top.size, 1.0 / top.size)
+            order = np.argsort(top)
+            slots.append(SausageSlot(top[order], probs[order]))
+        return slots
