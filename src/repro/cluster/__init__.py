@@ -19,10 +19,11 @@ the serving stack scale with cores and survive process death:
 - :mod:`repro.cluster.hashing` — rendezvous hashing of utterance
   content keys onto stable worker slots, so each worker's score cache
   stays warm and a membership change only moves the dead slot's keys;
-- :mod:`repro.cluster.frontdoor` — :class:`ClusterFrontDoor`: shards
-  ``/score`` across live workers and merges responses; aggregates
-  ``/healthz`` (degraded-while-respawning) and ``/stats`` /
-  ``/metricz`` via :func:`repro.obs.metrics.merge_snapshots`.
+- :mod:`repro.cluster.frontdoor` — :class:`ClusterFrontDoor`, served
+  by ``repro serve``'s HTTP handler: shards ``/score`` across live
+  workers and merges responses; aggregates ``/healthz``
+  (degraded-while-respawning) and ``/stats`` / ``/metricz`` via
+  :func:`repro.obs.metrics.merge_snapshots`.
 
 CLI entry point: ``repro serve <artifact> --workers N`` (``--workers 0``
 keeps the classic in-process server).  See ``docs/serving.md``,
@@ -40,12 +41,7 @@ Quickstart::
         supervisor.stop()
 """
 
-from repro.cluster.frontdoor import (
-    ClusterFrontDoor,
-    ClusterRequestHandler,
-    make_cluster,
-    run_cluster,
-)
+from repro.cluster.frontdoor import ClusterFrontDoor, make_cluster, run_cluster
 from repro.cluster.fleet import ProcessFleet
 from repro.cluster.hashing import rendezvous_choose, rendezvous_rank, routing_key
 from repro.cluster.supervisor import ClusterError, WorkerHandle, WorkerSupervisor
@@ -54,7 +50,6 @@ from repro.cluster.worker import worker_main
 __all__ = [
     "ProcessFleet",
     "ClusterFrontDoor",
-    "ClusterRequestHandler",
     "make_cluster",
     "run_cluster",
     "rendezvous_choose",

@@ -1,9 +1,10 @@
 """The cluster front door: route, forward, aggregate.
 
-A :class:`ClusterFrontDoor` is a stdlib ``ThreadingHTTPServer`` that
-owns no model at all — it routes wire-format JSON between clients and
-the engine workers a :class:`~repro.cluster.supervisor.WorkerSupervisor`
-keeps alive:
+A :class:`ClusterFrontDoor` owns no model at all — it routes
+wire-format JSON between clients and the engine workers a
+:class:`~repro.cluster.supervisor.WorkerSupervisor` keeps alive.  It is
+a :class:`~repro.serve.server.JsonServer`: the HTTP layer, shared with
+``repro serve``, rejects a malformed request before any worker sees it.
 
 ``POST /score``
     Utterances are sharded by content key with rendezvous hashing
@@ -38,19 +39,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cluster.hashing import rendezvous_choose, routing_key
 from repro.cluster.supervisor import WorkerSupervisor
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.serve.server import JsonServer
 
-__all__ = ["ClusterFrontDoor", "ClusterRequestHandler", "make_cluster", "run_cluster"]
-
-#: Cap on accepted request bodies (mirrors the worker tier).
-MAX_BODY_BYTES = 16 << 20
-
-#: ``Retry-After`` seconds suggested on 429/503 responses.
-RETRY_AFTER_S = 1
+__all__ = ["ClusterFrontDoor", "make_cluster", "run_cluster"]
 
 #: When several sub-requests fail differently, the client sees the most
 #: actionable status: a bad request beats a server fault beats
@@ -58,107 +53,13 @@ RETRY_AFTER_S = 1
 _STATUS_PRIORITY = (400, 500, 429, 503)
 
 
-class ClusterRequestHandler(BaseHTTPRequestHandler):
-    """Routes /score to workers; aggregates /healthz /stats /metricz."""
-
-    server: "ClusterFrontDoor"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr logging (stats() is the telemetry)."""
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        *,
-        close: bool = False,
-        retry_after: int | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, message: str, **kwargs) -> None:
-        retry = RETRY_AFTER_S if status in (429, 503) else None
-        self._send_json(
-            status, {"error": message}, retry_after=retry, **kwargs
-        )
-
-    # ------------------------------------------------------------------
-    # GET: aggregation endpoints
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:
-        """Serve the fleet-wide ``/healthz``, ``/stats`` and ``/metricz``."""
-        if self.path == "/healthz":
-            self._send_json(*self.server.health())
-        elif self.path == "/stats":
-            self._send_json(200, self.server.stats())
-        elif self.path == "/metricz":
-            self._send_json(200, self.server.merged_metrics(include_samples=True))
-        else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
-
-    # ------------------------------------------------------------------
-    # POST /score: shard, forward, merge
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:
-        """Shard ``/score`` over live workers, forward, merge the reply."""
-        if self.path != "/score":
-            self._send_error_json(
-                404, f"unknown path {self.path!r}", close=True
-            )
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_error_json(400, "bad Content-Length", close=True)
-            return
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_error_json(
-                400, "request body missing or too large", close=True
-            )
-            return
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-            utterances = payload["utterances"]
-            if not isinstance(utterances, list):
-                raise TypeError("utterances must be a list")
-        except (KeyError, TypeError, ValueError) as exc:
-            self._send_error_json(400, f"bad request: {exc}")
-            return
-
-        server = self.server
-        start = time.monotonic()
-        server.requests.inc()
-        try:
-            status, body, retry = server.dispatch_score(utterances)
-        finally:
-            server.latency.observe(time.monotonic() - start)
-        self._send_json(status, body, retry_after=retry)
-
-
-class ClusterFrontDoor(ThreadingHTTPServer):
+class ClusterFrontDoor(JsonServer):
     """Routing + aggregation tier over a :class:`WorkerSupervisor`.
 
     The server holds the cluster-level metrics registry (``cluster.*``
     instruments); the supervisor contributes its respawn/chaos counters
     to the same registry when constructed via :func:`make_cluster`.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -168,7 +69,7 @@ class ClusterFrontDoor(ThreadingHTTPServer):
         registry: MetricsRegistry | None = None,
         forward_timeout: float = 35.0,
     ) -> None:
-        super().__init__(address, ClusterRequestHandler)
+        super().__init__(address)
         self.supervisor = supervisor
         self.metrics = registry if registry is not None else supervisor.metrics
         self.forward_timeout = float(forward_timeout)
@@ -231,24 +132,30 @@ class ClusterFrontDoor(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # /score
     # ------------------------------------------------------------------
-    def dispatch_score(self, utterances: list):
+    def score(self, utterances: list[dict]) -> tuple[int, dict]:
         """Shard ``utterances`` across live workers; merge the responses.
 
-        Returns ``(status, body, retry_after)``.
+        Counts ``cluster.requests`` and observes
+        ``cluster.request_latency_s``.
         """
+        start = time.monotonic()
+        self.requests.inc()
+        try:
+            return self._dispatch(utterances)
+        finally:
+            self.latency.observe(time.monotonic() - start)
+
+    def _dispatch(self, utterances: list[dict]) -> tuple[int, dict]:
         live, ports = self._live_slots()
         if not live:
-            return 503, {"error": "no live workers"}, RETRY_AFTER_S
+            return 503, {"error": "no live workers"}
 
         groups: dict[str, list[int]] = {}
         if not utterances:
             groups[live[0]] = []
-        else:
-            for index, utt in enumerate(utterances):
-                if not isinstance(utt, dict):
-                    return 400, {"error": "utterances must be objects"}, None
-                slot = rendezvous_choose(routing_key(utt), live)
-                groups.setdefault(slot, []).append(index)
+        for index, utt in enumerate(utterances):
+            slot = rendezvous_choose(routing_key(utt), live)
+            groups.setdefault(slot, []).append(index)
 
         results: dict[str, tuple | None] = {}
 
@@ -287,11 +194,10 @@ class ClusterFrontDoor(ThreadingHTTPServer):
                         if result is not None
                         else {"error": f"worker {slot} connection failed"}
                     )
-                    retry = RETRY_AFTER_S if status in (429, 503) else None
-                    return status, detail, retry
+                    return status, detail
             # Unrecognised non-200 from a worker: pass the worst through.
             slot, status = max(statuses.items(), key=lambda kv: kv[1])
-            return status, results[slot][1], None
+            return status, results[slot][1]
 
         # All 200: stitch rows back into the client's utterance order.
         merged_scores = [None] * len(utterances)
@@ -317,7 +223,6 @@ class ClusterFrontDoor(ThreadingHTTPServer):
                 "degraded": degraded,
                 "workers": sorted(groups),
             },
-            None,
         )
 
     # ------------------------------------------------------------------
@@ -354,7 +259,7 @@ class ClusterFrontDoor(ThreadingHTTPServer):
         }
         return 200, body
 
-    def merged_metrics(self, *, include_samples: bool = False) -> dict:
+    def metricz(self, *, include_samples: bool = True) -> dict:
         """Union of every worker's registry with the front door's own."""
         snapshots = [
             snap
@@ -368,7 +273,7 @@ class ClusterFrontDoor(ThreadingHTTPServer):
         """Aggregated ``/stats``: slot summaries + merged metrics."""
         return {
             "workers": self.supervisor.describe(),
-            "metrics": self.merged_metrics(),
+            "metrics": self.metricz(include_samples=False),
         }
 
 

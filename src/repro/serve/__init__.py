@@ -13,8 +13,9 @@ service:
 - :mod:`repro.serve.protocol` — the JSON wire format for utterances and
   the digest function behind cache keys;
 - :mod:`repro.serve.server` — a stdlib-only JSON HTTP API
-  (``/score``, ``/healthz``, ``/stats``) with backpressure (429) and
-  deadline (503) semantics;
+  (``/score``, ``/healthz``, ``/stats``, ``/metricz``) with
+  backpressure (429) and deadline (503) semantics, whose one request
+  handler the cluster front door shares;
 
 Fault injection (``REPRO_FAULTS``, used to exercise the
 overload/partial-failure contract in tests and benchmarks) lives in

@@ -1,7 +1,6 @@
 """Stdlib-only JSON HTTP surface over the scoring engine.
 
-A :class:`ScoringServer` (a ``ThreadingHTTPServer``) exposes four
-endpoints:
+A :class:`ScoringServer` exposes four endpoints:
 
 ``POST /score``
     Body ``{"utterances": [<utterance json>, ...]}`` (see
@@ -32,10 +31,12 @@ endpoints:
     so :func:`repro.obs.metrics.merge_snapshots` can compute honest
     cross-worker percentiles.
 
-Error responses sent before the request body has been consumed carry
-``Connection: close`` — replying 400 and keeping the connection alive
-would make the next pipelined request parse stale body bytes as a
-request line (an HTTP/1.1 keep-alive desync).
+One :class:`JsonRequestHandler` serves every :class:`JsonServer`, this
+one and the cluster front door alike.  It sends ``Retry-After`` exactly
+on 429 and 503, and ``Connection: close`` on an error sent before the
+request body was read — keeping that connection alive would make the
+next pipelined request parse stale body bytes as a request line (an
+HTTP/1.1 keep-alive desync).
 
 Only the standard library is used (``http.server`` + ``json``), so the
 service runs anywhere the package does.  This is an internal-tier
@@ -59,42 +60,37 @@ from repro.serve.engine import (
 )
 from repro.serve.protocol import utterance_from_json
 
-__all__ = ["ScoringServer", "ScoringRequestHandler", "make_server", "run_server"]
+__all__ = [
+    "JsonRequestHandler", "JsonServer", "ScoringServer", "make_server",
+    "run_server",
+]
 
 #: Cap on accepted request bodies (16 MiB) — a crude but effective guard
 #: against memory-exhaustion by a single oversized POST.
 MAX_BODY_BYTES = 16 << 20
 
-#: ``Retry-After`` seconds suggested on 429/503 responses.
+#: ``Retry-After`` seconds sent with every 429 and 503 response.
 RETRY_AFTER_S = 1
 
 
-class ScoringRequestHandler(BaseHTTPRequestHandler):
-    """Routes /score, /healthz and /stats onto the owning server's engine."""
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """All of the HTTP; the :class:`JsonServer` behind it only makes bodies."""
 
-    server: "ScoringServer"
+    server: "JsonServer"
     protocol_version = "HTTP/1.1"
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging (stats() is the telemetry)."""
 
     def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        *,
-        close: bool = False,
-        retry_after: int | None = None,
+        self, status: int, payload: dict, *, close: bool = False
     ) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
+        if status in (429, 503):
+            self.send_header("Retry-After", str(RETRY_AFTER_S))
         if close:
             # The request body was not (fully) read; keeping this
             # connection alive would desync the next pipelined request.
@@ -103,152 +99,153 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(
-        self,
-        status: int,
-        message: str,
-        *,
-        close: bool = False,
-        retry_after: int | None = None,
-    ) -> None:
-        self._send_json(
-            status,
-            {"error": message},
-            close=close,
-            retry_after=retry_after,
-        )
-
-    # ------------------------------------------------------------------
-    # endpoints
-    # ------------------------------------------------------------------
     def do_GET(self) -> None:
-        """Serve /healthz and /stats."""
-        engine = self.server.engine
+        """Serve /healthz, /stats and /metricz."""
         if self.path == "/healthz":
-            trained = engine.trained
-            degraded = engine.degraded
-            self._send_json(
-                200,
-                {
-                    "status": "degraded" if degraded else "ok",
-                    "degraded": degraded,
-                    "breakers": engine.breaker_states(),
-                    "languages": list(trained.language_names),
-                    "frontends": [fe.name for fe in trained.frontends],
-                    "subsystems": [name for name, _ in trained.subsystems],
-                },
-            )
+            self._send_json(*self.server.health())
         elif self.path == "/stats":
-            self._send_json(200, engine.stats())
+            self._send_json(200, self.server.stats())
         elif self.path == "/metricz":
-            self._send_json(
-                200, engine.metrics.snapshot(include_samples=True)
-            )
+            self._send_json(200, self.server.metricz())
         else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:
-        """Serve /score."""
+        """Serve /score: read and check the body, then hand it over."""
         if self.path != "/score":
-            # Body unread: close to avoid a keep-alive desync.
-            self._send_error_json(
-                404, f"unknown path {self.path!r}", close=True
+            self._send_json(
+                404, {"error": f"unknown path {self.path!r}"}, close=True
             )
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._send_error_json(400, "bad Content-Length", close=True)
+            self._send_json(400, {"error": "bad Content-Length"}, close=True)
             return
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_error_json(
-                400, "request body missing or too large", close=True
-            )
+            message = "request body missing or too large"
+            self._send_json(400, {"error": message}, close=True)
             return
         try:
-            payload = json.loads(self.rfile.read(length))
-            utterances = [
-                utterance_from_json(u) for u in payload["utterances"]
-            ]
+            utterances = json.loads(self.rfile.read(length))["utterances"]
+            if not isinstance(utterances, list) or not all(
+                isinstance(u, dict) for u in utterances
+            ):
+                raise TypeError("utterances must be a list of objects")
         except (KeyError, TypeError, ValueError) as exc:
-            self._send_error_json(400, f"bad request: {exc}")
+            self._send_json(400, {"error": f"bad request: {exc}"})
             return
-        engine = self.server.engine
-        if not utterances:
-            self._send_json(
-                200,
-                {
-                    "languages": list(engine.languages),
-                    "utt_ids": [],
-                    "scores": [],
-                    "predictions": [],
-                    "degraded": engine.degraded,
-                },
-            )
-            return
-        inflight = engine.metrics.gauge("serve.inflight")
+        self._send_json(*self.server.score(utterances))
+
+
+class JsonServer(ThreadingHTTPServer):
+    """A threading HTTP server whose four methods back the JSON API."""
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int]) -> None:
+        super().__init__(address, JsonRequestHandler)
+
+    def health(self) -> tuple[int, dict]:
+        """``(status, body)`` for ``GET /healthz``."""
+        raise NotImplementedError
+
+    def stats(self) -> dict:
+        """The body of ``GET /stats``."""
+        raise NotImplementedError
+
+    def metricz(self) -> dict:
+        """The body of ``GET /metricz``: a snapshot with samples."""
+        raise NotImplementedError
+
+    def score(self, utterances: list[dict]) -> tuple[int, dict]:
+        """``(status, body)`` for ``POST /score`` of wire utterances."""
+        raise NotImplementedError
+
+
+class ScoringServer(JsonServer):
+    """A :class:`JsonServer` bound to one :class:`ScoringEngine`."""
+
+    def __init__(self, address: tuple[str, int], engine: ScoringEngine) -> None:
+        super().__init__(address)
+        self.engine = engine
+
+    def health(self) -> tuple[int, dict]:
+        """Liveness, breaker states and the loaded system's names."""
+        engine = self.engine
+        trained = engine.trained
+        degraded = engine.degraded
+        return 200, {
+            "status": "degraded" if degraded else "ok",
+            "degraded": degraded,
+            "breakers": engine.breaker_states(),
+            "languages": list(trained.language_names),
+            "frontends": [fe.name for fe in trained.frontends],
+            "subsystems": [name for name, _ in trained.subsystems],
+        }
+
+    def stats(self) -> dict:
+        """The engine's :meth:`~ScoringEngine.stats` snapshot."""
+        return self.engine.stats()
+
+    def metricz(self) -> dict:
+        """The engine's registry snapshot with reservoir samples."""
+        return self.engine.metrics.snapshot(include_samples=True)
+
+    def score(self, utterances: list[dict]) -> tuple[int, dict]:
+        """Score one request on the engine.
+
+        400 for an utterance the wire format rejects, 429 on a full
+        queue, 503 on a closed engine or a missed deadline, 500 when
+        scoring fails.
+        """
+        try:
+            parsed = [utterance_from_json(u) for u in utterances]
+        except (KeyError, TypeError, ValueError) as exc:
+            return 400, {"error": f"bad request: {exc}"}
+        inflight = self.engine.metrics.gauge("serve.inflight")
         inflight.add(1)
         try:
-            self._score(engine, utterances)
+            return self._submit(parsed)
         finally:
             inflight.add(-1)
 
-    def _score(self, engine: ScoringEngine, utterances: list) -> None:
-        """Submit one request's utterances and render the outcome."""
-        start = time.monotonic()
+    def _submit(self, utterances: list) -> tuple[int, dict]:
+        """Submit the utterances and wait for their rows."""
+        engine = self.engine
+        due = None
+        if engine.deadline is not None:
+            due = time.monotonic() + engine.deadline
         try:
             futures = [engine.submit(u) for u in utterances]
         except QueueFullError as exc:
-            self._send_error_json(429, str(exc), retry_after=RETRY_AFTER_S)
-            return
+            return 429, {"error": str(exc)}
         except EngineClosedError as exc:
-            self._send_error_json(503, str(exc), retry_after=RETRY_AFTER_S)
-            return
+            return 503, {"error": str(exc)}
         try:
             rows = []
             for future in futures:
-                timeout = None
-                if engine.deadline is not None:
-                    timeout = max(
-                        0.0, engine.deadline - (time.monotonic() - start)
-                    )
-                rows.append(future.result(timeout=timeout))
-            scores = np.vstack(rows)
+                left = None if due is None else max(due - time.monotonic(), 0)
+                rows.append(future.result(timeout=left))
+            # (n, K), also for an empty request.
+            scores = np.reshape(rows, (len(rows), len(engine.languages)))
         except (FutureTimeoutError, DeadlineExceededError):
             # Never pin a handler thread behind a stalled decode: give
             # the batcher its queued work back as cancellations and shed
             # the request.
             for future in futures:
                 future.cancel()
-            self._send_error_json(
-                503,
-                "scoring did not finish within the deadline",
-                retry_after=RETRY_AFTER_S,
-            )
-            return
+            message = "scoring did not finish within the deadline"
+            return 503, {"error": message}
         except Exception as exc:  # engine-side failure
-            self._send_error_json(500, f"scoring failed: {exc}")
-            return
-        self._send_json(
-            200,
-            {
-                "languages": list(engine.languages),
-                "utt_ids": [u.utt_id for u in utterances],
-                "scores": scores.tolist(),
-                "predictions": engine.predict_languages(scores),
-                "degraded": engine.degraded,
-            },
-        )
-
-
-class ScoringServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`ScoringEngine`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], engine: ScoringEngine) -> None:
-        super().__init__(address, ScoringRequestHandler)
-        self.engine = engine
+            return 500, {"error": f"scoring failed: {exc}"}
+        return 200, {
+            "languages": list(engine.languages),
+            "utt_ids": [u.utt_id for u in utterances],
+            "scores": scores.tolist(),
+            "predictions": engine.predict_languages(scores),
+            "degraded": engine.degraded,
+        }
 
 
 def make_server(
@@ -289,7 +286,7 @@ def run_server(
     bound_host, bound_port = server.server_address[:2]
     announce(
         f"repro.serve listening on http://{bound_host}:{bound_port} "
-        f"(endpoints: /score /healthz /stats)"
+        f"(endpoints: /score /healthz /stats /metricz)"
     )
     try:
         server.serve_forever()
